@@ -4,7 +4,7 @@
 // Graphviz dot renderings.
 #include <iostream>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "ta/transforms.h"
 
 namespace {
@@ -50,14 +50,16 @@ void print_rules(const ctaver::ta::System& sys) {
 int main() {
   using namespace ctaver;
 
-  protocols::ProtocolModel nv = protocols::naive_voting();
+  const frontend::ProtocolRegistry registry =
+      frontend::ProtocolRegistry::with_builtins();
+  protocols::ProtocolModel nv = registry.make("NaiveVoting");
   std::cout << "=== Fig. 3: threshold automaton for naive voting ===\n";
   std::cout << "|L| = " << nv.system.total_locations()
             << "  |R| = " << nv.system.total_rules() << "\n";
   print_rules(nv.system);
   std::cout << "\n--- dot ---\n" << ta::to_dot(nv.system) << "\n";
 
-  protocols::ProtocolModel m = protocols::mmr14();
+  protocols::ProtocolModel m = registry.make("MMR14");
   std::cout << "=== Fig. 4 / Table I: multi-round MMR14 + common coin ===\n";
   std::cout << "|L| = " << m.system.total_locations()
             << "  |R| = " << m.system.total_rules() << "\n";

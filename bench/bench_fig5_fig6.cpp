@@ -5,7 +5,7 @@
 // ABY22.
 #include <iostream>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "ta/transforms.h"
 
 namespace {
@@ -44,7 +44,9 @@ void print_common_part(const ctaver::ta::System& sys,
 int main() {
   using namespace ctaver;
 
-  protocols::ProtocolModel m = protocols::mmr14();
+  const frontend::ProtocolRegistry registry =
+      frontend::ProtocolRegistry::with_builtins();
+  protocols::ProtocolModel m = registry.make("MMR14");
   std::cout << "=== Fig. 5: common part (MMR14, before refinement) ===\n";
   print_common_part(m.system, {"M0", "M1", "Mbot", "E0", "E1", "D0", "D1"});
 
@@ -55,8 +57,8 @@ int main() {
                      "D0", "D1"});
   std::cout << "\n--- dot (refined) ---\n" << ta::to_dot(refined) << "\n";
 
-  for (auto builder : {protocols::miller18, protocols::aby22}) {
-    protocols::ProtocolModel pm = builder();
+  for (const char* name : {"Miller18", "ABY22"}) {
+    protocols::ProtocolModel pm = registry.make(name);
     std::cout << "=== built-in refinement: " << pm.name << " ===\n";
     print_common_part(pm.system, {pm.n0_loc, pm.n1_loc, pm.nbot_loc,
                                   pm.m0_loc, pm.m1_loc, pm.mbot_loc});

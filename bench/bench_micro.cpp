@@ -6,8 +6,8 @@
 
 #include "cs/explicit_system.h"
 #include "cs/state_graph.h"
+#include "frontend/registry.h"
 #include "lia/solver.h"
-#include "protocols/protocols.h"
 #include "schema/checker.h"
 #include "sim/simulation.h"
 #include "spec/spec.h"
@@ -41,7 +41,7 @@ void BM_LiaThresholdSystem(benchmark::State& state) {
 BENCHMARK(BM_LiaThresholdSystem);
 
 void BM_StateGraphCc85a(benchmark::State& state) {
-  protocols::ProtocolModel pm = protocols::cc85a();
+  protocols::ProtocolModel pm = frontend::ProtocolRegistry::with_builtins().make("CC85a");
   ta::System rd = ta::single_round(ta::nonprobabilistic(pm.system));
   for (auto _ : state) {
     cs::ExplicitSystem es(rd, {4, 1, 1}, 1);
@@ -52,7 +52,7 @@ void BM_StateGraphCc85a(benchmark::State& state) {
 BENCHMARK(BM_StateGraphCc85a);
 
 void BM_SchemaCheckNaiveVotingInv2(benchmark::State& state) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = frontend::ProtocolRegistry::with_builtins().make("NaiveVoting");
   ta::System rd = ta::single_round(ta::nonprobabilistic(pm.system));
   for (auto _ : state) {
     schema::CheckResult res = schema::check_spec(rd, spec::inv2(rd, 0));

@@ -3,7 +3,7 @@
 // (CC85a) and the refined category-(C) model (MMR14).
 #include <iostream>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "spec/spec.h"
 #include "ta/transforms.h"
 
@@ -12,14 +12,16 @@ int main() {
 
   std::cout << "Table III: properties checked for value 0\n\n";
 
-  protocols::ProtocolModel b = protocols::cc85a();
+  const frontend::ProtocolRegistry registry =
+      frontend::ProtocolRegistry::with_builtins();
+  protocols::ProtocolModel b = registry.make("CC85a");
   ta::System rd = ta::single_round(ta::nonprobabilistic(b.system));
   std::cout << "[" << b.name << "]\n";
   std::cout << "  " << spec::inv1(rd, 0).str(rd) << "\n";
   std::cout << "  " << spec::inv2(rd, 0).str(rd) << "\n";
   std::cout << "  " << spec::c2(rd, 0).str(rd) << "\n";
 
-  protocols::ProtocolModel c = protocols::mmr14();
+  protocols::ProtocolModel c = registry.make("MMR14");
   ta::System rdr = ta::single_round(ta::nonprobabilistic(c.refined()));
   std::cout << "[" << c.name << " refined]\n";
   const char* names[] = {"CB0", "CB1", "CB2", "CB3"};

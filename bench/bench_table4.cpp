@@ -4,7 +4,7 @@
 // study measures how the raw schema enumeration scales with milestones).
 #include <iostream>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "schema/checker.h"
 #include "schema/guards.h"
 #include "spec/spec.h"
@@ -76,7 +76,7 @@ int main() {
             << util::pad_left("nmilestones", 12)
             << util::pad_left("max-nschemas", 16) << "\n";
 
-  protocols::ProtocolModel pm = protocols::aby22();
+  protocols::ProtocolModel pm = frontend::ProtocolRegistry::with_builtins().make("ABY22");
   ta::System refined = pm.refined();
   constexpr long long kCap = 4'000'000'000LL;
 

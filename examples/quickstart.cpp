@@ -8,18 +8,17 @@
 // counterexample; with f = 0 it verifies.
 #include <iostream>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "schema/checker.h"
 #include "spec/spec.h"
-#include "ta/builder.h"
 #include "ta/transforms.h"
 
 int main() {
   using namespace ctaver;
 
-  // 1. A protocol model. See src/protocols/protocols_ab.cpp for how this is
-  //    built with ta::SystemBuilder (locations, threshold guards, rules).
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  // 1. A protocol model, lowered from specs/naive_voting.cta (see that file
+  //    for its locations, threshold guards and rules).
+  protocols::ProtocolModel pm = frontend::ProtocolRegistry::with_builtins().make("NaiveVoting");
   std::cout << "Protocol " << pm.system.name << ": "
             << pm.system.total_locations() << " locations, "
             << pm.system.total_rules() << " rules\n";

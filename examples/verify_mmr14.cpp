@@ -4,7 +4,7 @@
 // attack of Miller's bug report. The counterexample schedule is printed.
 #include <iostream>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "schema/checker.h"
 #include "spec/spec.h"
 #include "ta/transforms.h"
@@ -12,7 +12,7 @@
 int main() {
   using namespace ctaver;
 
-  protocols::ProtocolModel pm = protocols::mmr14();
+  protocols::ProtocolModel pm = frontend::ProtocolRegistry::with_builtins().make("MMR14");
   ta::System rd = ta::single_round(ta::nonprobabilistic(pm.system));
   ta::System rdr = ta::single_round(ta::nonprobabilistic(pm.refined()));
 

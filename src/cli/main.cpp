@@ -5,7 +5,7 @@
 //   ctaver verify MMR14               # full pipeline on a built-in model
 //   ctaver verify specs/mmr14.cta     # ... or on a .cta spec file
 //   ctaver table2                     # the paper's Table-II benchmark run
-//   ctaver check --specs specs        # regression-check declared verdicts
+//   ctaver check                      # regression-check declared verdicts
 //
 // Protocol arguments are resolved through frontend::ProtocolRegistry, so
 // built-ins and spec files are interchangeable everywhere.
@@ -743,7 +743,7 @@ int cmd_check(const ProtocolRegistry& registry, const Args& args) {
     }
     if (pm.attack) {
       const ctaver::protocols::AttackSketch& sk = *pm.attack;
-      // The lowering validated the name; a hand-built model may not have.
+      // The lowering validated the name; a model built in code may not have.
       std::optional<ctaver::sim::Protocol> proto =
           ctaver::sim::protocol_from_name(sk.simulator);
       if (!proto) {

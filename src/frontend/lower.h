@@ -4,11 +4,10 @@
 // semantic errors (undeclared variables/parameters/locations, duplicate
 // declarations, malformed guards, inadmissible sweep instances, ...) as
 // positioned diagnostics, and only then replays the declarations through
-// ta::SystemBuilder in file order — so a lowered spec has exactly the same
-// location / rule / variable numbering a hand-coded builder following the
-// same order would produce. Structural violations that only the model-level
-// validator can see (ta::validate) are re-thrown as a ParseError anchored at
-// the protocol header.
+// ta::SystemBuilder in file order — so locations, rules and variables are
+// numbered in the order the spec declares them. Structural violations that
+// only the model-level validator can see (ta::validate) are re-thrown as a
+// ParseError anchored at the protocol header.
 #pragma once
 
 #include <string>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include "frontend/lower.h"
 #include "util/logging.h"
@@ -10,17 +11,26 @@
 
 namespace ctaver::frontend {
 
+std::string builtin_spec_dir() {
+  // __FILE__ is <root>/src/frontend/registry.cpp.
+  const std::filesystem::path src =
+      std::filesystem::path(__FILE__).parent_path().parent_path();
+  return (src.parent_path() / "specs").string();
+}
+
 ProtocolRegistry ProtocolRegistry::with_builtins() {
+  static constexpr std::pair<const char*, const char*> kBuiltins[] = {
+      {"NaiveVoting", "naive_voting.cta"}, {"Rabin83", "rabin83.cta"},
+      {"CC85a", "cc85a.cta"},              {"CC85b", "cc85b.cta"},
+      {"FMR05", "fmr05.cta"},              {"KS16", "ks16.cta"},
+      {"MMR14", "mmr14.cta"},              {"Miller18", "miller18.cta"},
+      {"ABY22", "aby22.cta"}};
+  const std::string dir = builtin_spec_dir();
   ProtocolRegistry r;
-  r.add("NaiveVoting", &protocols::naive_voting, "builtin");
-  r.add("Rabin83", &protocols::rabin83, "builtin");
-  r.add("CC85a", &protocols::cc85a, "builtin");
-  r.add("CC85b", &protocols::cc85b, "builtin");
-  r.add("FMR05", &protocols::fmr05, "builtin");
-  r.add("KS16", &protocols::ks16, "builtin");
-  r.add("MMR14", &protocols::mmr14, "builtin");
-  r.add("Miller18", &protocols::miller18, "builtin");
-  r.add("ABY22", &protocols::aby22, "builtin");
+  for (const auto& [name, file] : kBuiltins) {
+    r.add(name, [path = dir + "/" + file] { return load_spec_file(path); },
+          "builtin");
+  }
   return r;
 }
 

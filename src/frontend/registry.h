@@ -1,7 +1,9 @@
-// Protocol registry: one lookup for built-in (hand-coded) models and
-// file-loaded .cta specs. The CLI and tests resolve every protocol argument
-// through here, so a user-supplied spec file is a first-class citizen of the
-// verification pipeline, indistinguishable from the Table-II benchmarks.
+// Protocol registry: one lookup for the built-in models and file-loaded .cta
+// specs. The built-in models are this checkout's specs/*.cta, read and
+// lowered each time one is made. The CLI and tests resolve every protocol
+// argument through here, so a user-supplied spec file is a first-class
+// citizen of the verification pipeline, indistinguishable from the Table-II
+// benchmarks.
 #pragma once
 
 #include <functional>
@@ -12,12 +14,18 @@
 
 namespace ctaver::frontend {
 
+/// The directory the built-in models are read from: specs/ at the root of
+/// the source tree this library was compiled from.
+std::string builtin_spec_dir();
+
 class ProtocolRegistry {
  public:
   using Factory = std::function<protocols::ProtocolModel()>;
 
   /// Registry pre-populated with the nine built-in models (naive-voting +
-  /// the eight Table-II benchmarks), keyed by their builder names.
+  /// the eight Table-II benchmarks, in Table-II order). Opens no file: each
+  /// model's spec under builtin_spec_dir() is loaded by make(), so an
+  /// edited spec is what the next make() sees.
   static ProtocolRegistry with_builtins();
 
   /// Registers a factory under `name`; `origin` is shown by `ctaver list`

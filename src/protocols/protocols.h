@@ -1,6 +1,8 @@
 // The paper's benchmark: threshold-automata models of eight randomized
 // consensus protocols with common coins (Sect. VI), plus the naive-voting
-// warm-up of Fig. 2/3.
+// warm-up of Fig. 2/3. The models themselves are the specs/*.cta files,
+// which frontend::ProtocolRegistry::with_builtins() loads; this header holds
+// what a lowered model carries.
 //
 // Every model follows the paper's conventions:
 //   * shared variables count messages sent by *correct* processes;
@@ -18,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,8 +76,8 @@ struct ProtocolModel {
   /// the probabilistic conditions (C1)/(C2′); each must satisfy RC.
   std::vector<std::vector<long long>> sweep_params;
 
-  /// Spec-declared expected verdicts (empty for the hand-coded builtins;
-  /// populated from a .cta file's `expect` block), in declaration order.
+  /// Spec-declared expected verdicts (from a .cta file's `expect` block;
+  /// empty for a model built in code), in declaration order.
   std::vector<ExpectedVerdict> expects;
   /// Spec-declared attack-schedule sketch, if any.
   std::optional<AttackSketch> attack;
@@ -92,18 +93,5 @@ struct ProtocolModel {
 /// declare verdicts against; verify_pipeline_test pins the pipeline's
 /// reports to this list.
 std::vector<std::string> obligation_names(Category c);
-
-ProtocolModel naive_voting();
-ProtocolModel rabin83();
-ProtocolModel cc85a();
-ProtocolModel cc85b();
-ProtocolModel fmr05();
-ProtocolModel ks16();
-ProtocolModel mmr14();
-ProtocolModel miller18();
-ProtocolModel aby22();
-
-/// The paper's Table-II benchmark order.
-std::vector<ProtocolModel> all_protocols();
 
 }  // namespace ctaver::protocols

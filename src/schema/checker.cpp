@@ -325,8 +325,14 @@ class Encoder {
       LinExpr obj;
       for (lia::Var v : m.pv) obj += LinExpr::term(v);
       long long before = m.solver.total_pivots();
-      (void)m.solver.minimize(obj);
+      const Result min = m.solver.minimize(obj);
       fresh_pivots_ += m.solver.total_pivots() - before;
+      // minimize() re-checks first; a cancel that trips in between leaves
+      // no model. Same outcome as a cancelled warm query.
+      if (min != Result::kSat) {
+        *unknown = true;
+        return std::nullopt;
+      }
     }
 
     Counterexample ce;

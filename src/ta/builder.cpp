@@ -80,16 +80,6 @@ Guard SystemBuilder::ge(
   return g;
 }
 
-Guard SystemBuilder::lt(
-    std::initializer_list<std::pair<VarId, long long>> lhs,
-    ParamExpr rhs) const {
-  Guard g;
-  g.lhs.assign(lhs.begin(), lhs.end());
-  g.rel = GuardRel::kLt;
-  g.rhs = std::move(rhs);
-  return g;
-}
-
 std::vector<long long> SystemBuilder::dense_update(
     const std::vector<std::pair<VarId, long long>>& updates) const {
   std::vector<long long> u(sys_.vars.size(), 0);

@@ -1,6 +1,8 @@
 // Fluent construction of System models (environment + TAⁿ + PTAᶜ).
 //
-// Protocol definitions in src/protocols read close to the paper's figures:
+// The .cta lowering (frontend/lower.cpp) replays every spec through this
+// builder, and tests build small models with it directly; the calls read
+// close to the paper's figures:
 //
 //   SystemBuilder b("NaiveVoting");
 //   auto n = b.param("n"), f = b.param("f");
@@ -58,16 +60,9 @@ class SystemBuilder {
   [[nodiscard]] Guard ge(
       std::initializer_list<std::pair<VarId, long long>> lhs,
       ParamExpr rhs) const;
-  /// Σ coeff·var < rhs.
-  [[nodiscard]] Guard lt(
-      std::initializer_list<std::pair<VarId, long long>> lhs,
-      ParamExpr rhs) const;
-  /// Single-variable forms.
+  /// Single-variable form.
   [[nodiscard]] Guard ge(VarId v, ParamExpr rhs) const {
     return ge({{v, 1LL}}, std::move(rhs));
-  }
-  [[nodiscard]] Guard lt(VarId v, ParamExpr rhs) const {
-    return lt({{v, 1LL}}, std::move(rhs));
   }
   /// Coin-outcome guard cc_v > 0.
   [[nodiscard]] Guard coin_is(VarId cc) const { return Guard::coin_is(cc); }

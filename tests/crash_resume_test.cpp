@@ -26,7 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "svc/client.h"
 #include "svc/journal.h"
 #include "svc/proof_cache.h"
@@ -38,6 +38,10 @@ namespace ctaver {
 namespace {
 
 namespace fs = std::filesystem;
+
+protocols::ProtocolModel builtin(const std::string& name) {
+  return frontend::ProtocolRegistry::with_builtins().make(name);
+}
 
 class TempDir {
  public:
@@ -104,7 +108,7 @@ bool crash_verify_in_child(const std::string& cache_dir, int hit,
     svc::ProofCache cache(cache_dir);
     svc::Journal journal(cache_dir);
     std::vector<verify::ObligationKey> keys =
-        verify::obligation_cache_keys(protocols::naive_voting(), base);
+        verify::obligation_cache_keys(builtin("NaiveVoting"), base);
     std::string run = svc::journal_run_id(keys);
     verify::Options opts = base;
     opts.cache = &cache;
@@ -113,7 +117,7 @@ bool crash_verify_in_child(const std::string& cache_dir, int hit,
       opts.journal = &journal;
       opts.journal_run = run;
     }
-    verify::verify_protocol(protocols::naive_voting(), opts);
+    verify::verify_protocol(builtin("NaiveVoting"), opts);
     ::_exit(0);  // reached only if the fault never fired
   }
   int status = 0;
@@ -132,7 +136,7 @@ bool crash_verify_in_child(const std::string& cache_dir, int hit,
 // report is byte-identical to a cold run — for every (jobs, workers) in
 // {1,2,8}^2 and both dispatch modes.
 TEST(CrashResume, KilledVerifyResumesByteIdenticalAcrossMatrix) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = builtin("NaiveVoting");
   const std::string cold = render(verify::verify_protocol(pm, {}));
   // Hit 12 of schema.encode lands mid-run for NaiveVoting (total hits are
   // deterministic and exceed it); jobs=1 additionally guarantees at least
@@ -195,7 +199,7 @@ TEST(CrashResume, KilledVerifyResumesByteIdenticalAcrossMatrix) {
 // be durable when the kill lands, so resume provably replays (not merely
 // re-proves) part of the run.
 TEST(CrashResume, PartialDurabilitySurvivesTheKill) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = builtin("NaiveVoting");
   TempDir dir;
   verify::Options base = matrix_options(1, 1, false);
   ASSERT_TRUE(crash_verify_in_child(dir.str(), 12, base));
@@ -294,7 +298,7 @@ TEST(CrashResume, KilledDaemonRestartsOnStaleSocketAndResumes) {
   EXPECT_EQ(svc::submit_specs(socket_path, {"NaiveVoting"}, out2, err2), 1)
       << err2.str();
   verify::ProtocolReport direct =
-      verify::verify_protocol(protocols::naive_voting(), {});
+      verify::verify_protocol(builtin("NaiveVoting"), {});
   std::vector<std::string> want;
   for (const verify::PropertyResult* p :
        {&direct.agreement, &direct.validity, &direct.termination}) {

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "schema/checker.h"
 #include "util/cancel.h"
 #include "util/fault.h"
@@ -22,6 +22,10 @@ namespace {
 using util::FaultInjector;
 using verify::Obligation;
 using verify::ProtocolReport;
+
+protocols::ProtocolModel builtin(const std::string& name) {
+  return frontend::ProtocolRegistry::with_builtins().make(name);
+}
 
 /// The injector is process-global: every test arms inside a fixture that
 /// resets on teardown, so a failing assertion cannot poison its neighbours.
@@ -169,7 +173,7 @@ void check_containment(const std::string& site, const ProtocolReport& clean) {
         opts.schema.workers = workers;
         opts.schema.static_assignment = static_dispatch;
         ProtocolReport r =
-            verify::verify_protocol(protocols::cc85a(), opts);
+            verify::verify_protocol(builtin("CC85a"), opts);
 
         std::vector<const Obligation*> got = all_obligations(r);
         std::vector<const Obligation*> want = all_obligations(clean);
@@ -198,7 +202,7 @@ void check_containment(const std::string& site, const ProtocolReport& clean) {
 
 TEST_F(FaultInjection, MidEnumerationThrowIsContainedAcrossTheMatrix) {
   ProtocolReport clean =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(builtin("CC85a"), fast_options());
   ASSERT_TRUE(clean.agreement.holds() && clean.validity.holds() &&
               clean.termination.holds());
   check_containment("schema.encode", clean);
@@ -206,7 +210,7 @@ TEST_F(FaultInjection, MidEnumerationThrowIsContainedAcrossTheMatrix) {
 
 TEST_F(FaultInjection, MidSweepThrowIsContainedAcrossTheMatrix) {
   ProtocolReport clean =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(builtin("CC85a"), fast_options());
   check_containment("cs.expand", clean);
 }
 
@@ -218,7 +222,7 @@ TEST_F(FaultInjection, UnitAdoptionThrowIsContained) {
       << err;
   verify::Options opts = fast_options();
   opts.schema.workers = 2;
-  ProtocolReport r = verify::verify_protocol(protocols::cc85a(), opts);
+  ProtocolReport r = verify::verify_protocol(builtin("CC85a"), opts);
   int errored = 0;
   for (const Obligation* o : all_obligations(r)) {
     if (o->error) {
@@ -234,7 +238,7 @@ TEST_F(FaultInjection, InjectedCancelNeverFlipsAVerdict) {
   // "complete" over an unexplored subtree would be unsound, and claiming a
   // counterexample would be a flipped verdict.
   ProtocolReport clean =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(builtin("CC85a"), fast_options());
   for (const std::string site :
        {"lia.pivot", "schema.encode", "cs.expand"}) {
     SCOPED_TRACE(site);
@@ -243,7 +247,7 @@ TEST_F(FaultInjection, InjectedCancelNeverFlipsAVerdict) {
     ASSERT_TRUE(FaultInjector::instance().arm(site + ":1:cancel", &err))
         << err;
     ProtocolReport r =
-        verify::verify_protocol(protocols::cc85a(), fast_options());
+        verify::verify_protocol(builtin("CC85a"), fast_options());
     std::vector<const Obligation*> got = all_obligations(r);
     std::vector<const Obligation*> want = all_obligations(clean);
     ASSERT_EQ(got.size(), want.size());
@@ -266,10 +270,10 @@ TEST_F(FaultInjection, DelayActionIsByteNeutral) {
   ASSERT_TRUE(FaultInjector::instance().arm("lia.pivot:1:delay", &err))
       << err;
   ProtocolReport r =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(builtin("CC85a"), fast_options());
   FaultInjector::instance().reset();
   ProtocolReport clean =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(builtin("CC85a"), fast_options());
   std::vector<const Obligation*> got = all_obligations(r);
   std::vector<const Obligation*> want = all_obligations(clean);
   ASSERT_EQ(got.size(), want.size());
@@ -303,7 +307,7 @@ TEST_F(FaultInjection, RssWatchdogCutsTheRunToInconclusiveReasonMemory) {
   verify::Options opts = fast_options();
   opts.jobs = 1;
   opts.schema.max_rss_mb = 1;
-  ProtocolReport r = verify::verify_protocol(protocols::cc85a(), opts);
+  ProtocolReport r = verify::verify_protocol(builtin("CC85a"), opts);
   EXPECT_FALSE(r.agreement.holds() && r.validity.holds() &&
                r.termination.holds());
   bool saw_memory = false;
@@ -321,7 +325,7 @@ TEST_F(FaultInjection, RssWatchdogCutsTheRunToInconclusiveReasonMemory) {
 TEST_F(FaultInjection, ObligationTimeoutCutsWithoutTouchingTheBudget) {
   verify::Options opts = fast_options();
   opts.obligation_timeout_s = 1e-9;  // expired the moment each task starts
-  ProtocolReport r = verify::verify_protocol(protocols::cc85a(), opts);
+  ProtocolReport r = verify::verify_protocol(builtin("CC85a"), opts);
   bool saw_timeout = false;
   for (const Obligation* o : all_obligations(r)) {
     EXPECT_FALSE(o->error.has_value()) << o->name;
@@ -355,7 +359,7 @@ TEST_F(FaultInjection, InterruptTripsTheBudgetWithReasonInterrupt) {
 TEST_F(FaultInjection, InterruptedRunFlushesAPartialReport) {
   util::request_interrupt();
   ProtocolReport r =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(builtin("CC85a"), fast_options());
   // Every obligation degrades like a budget cut; nothing throws, nothing
   // claims a verdict it did not earn.
   for (const Obligation* o : all_obligations(r)) {
@@ -374,7 +378,7 @@ TEST_F(FaultInjection, Table2RowShowsTheErrorFace) {
       FaultInjector::instance().arm("schema.encode:1:throw", &err))
       << err;
   ProtocolReport r =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(builtin("CC85a"), fast_options());
   std::string row = verify::table2_row(r);
   EXPECT_NE(row.find("ERROR (1 contained)"), std::string::npos) << row;
   EXPECT_EQ(row.find("verified"), std::string::npos) << row;
@@ -387,7 +391,7 @@ TEST_F(FaultInjection, ErroredObligationIsNeverAProofOrRefutation) {
   ASSERT_TRUE(FaultInjector::instance().arm("cs.expand:1:throw", &err))
       << err;
   ProtocolReport r =
-      verify::verify_protocol(protocols::cc85a(), fast_options());
+      verify::verify_protocol(builtin("CC85a"), fast_options());
   for (const Obligation* o : all_obligations(r)) {
     if (!o->error) continue;
     EXPECT_FALSE(o->holds);

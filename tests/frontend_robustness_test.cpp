@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,19 +17,15 @@
 
 #include "frontend/diag.h"
 #include "frontend/lower.h"
+#include "frontend/registry.h"
 
 namespace ctaver::frontend {
 namespace {
 
-std::string spec_dir() {
-  const char* dir = std::getenv("CTAVER_SPEC_DIR");
-  return dir != nullptr ? dir : "specs";
-}
-
 std::vector<std::string> corpus_specs() {
   std::vector<std::string> paths;
   for (const auto& entry :
-       std::filesystem::directory_iterator(spec_dir())) {
+       std::filesystem::directory_iterator(builtin_spec_dir())) {
     if (entry.path().extension() == ".cta") {
       paths.push_back(entry.path().string());
     }
@@ -66,7 +61,7 @@ void expect_contained(const std::string& text, const std::string& label) {
 }
 
 TEST(FrontendRobustness, CorpusIsNonEmpty) {
-  EXPECT_GE(corpus_specs().size(), 8u) << "spec dir: " << spec_dir();
+  EXPECT_GE(corpus_specs().size(), 8u) << "spec dir: " << builtin_spec_dir();
 }
 
 TEST(FrontendRobustness, TruncatedSpecsDiagnoseCleanly) {

@@ -4,7 +4,7 @@
 // registry.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -619,8 +619,7 @@ TEST(Registry, UnknownNameListsWhatIsRegistered) {
 }
 
 TEST(Registry, SpecFilesResolveByPath) {
-  const char* dir = std::getenv("CTAVER_SPEC_DIR");
-  std::string specs = dir != nullptr ? dir : "specs";
+  const std::string specs = builtin_spec_dir();
   ProtocolRegistry r = ProtocolRegistry::with_builtins();
   protocols::ProtocolModel pm = r.resolve(specs + "/mmr14.cta");
   EXPECT_EQ(pm.name, "MMR14");
@@ -629,6 +628,59 @@ TEST(Registry, SpecFilesResolveByPath) {
   EXPECT_EQ(name, "MMR14");
   EXPECT_EQ(r.origin("MMR14"), specs + "/mmr14.cta");
   EXPECT_EQ(r.names().size(), 9u);
+}
+
+// The lowered `expect` declarations must survive the registry: a builtin
+// and the same spec registered by path hand `ctaver check` the surface that
+// loading the file directly gives.
+TEST(Registry, ExpectationsSurviveTheRegistry) {
+  const std::string path = builtin_spec_dir() + "/mmr14.cta";
+  ProtocolRegistry r = ProtocolRegistry::with_builtins();
+  const protocols::ProtocolModel direct = load_spec_file(path);
+  for (bool by_path : {false, true}) {
+    if (by_path) r.add_file(path);
+    protocols::ProtocolModel pm = r.make("MMR14");
+    ASSERT_EQ(pm.expects.size(), 9u) << "by_path=" << by_path;
+    int violated = 0;
+    for (const protocols::ExpectedVerdict& e : pm.expects) {
+      if (e.violated) {
+        ++violated;
+        EXPECT_TRUE(e.obligation == "CB2" || e.obligation == "CB3")
+            << e.obligation;
+      }
+    }
+    EXPECT_EQ(violated, 2);
+    ASSERT_TRUE(pm.attack.has_value());
+    EXPECT_EQ(pm.attack->script, "split_vote");
+    EXPECT_EQ(pm.attack->simulator, "mmr14");
+    EXPECT_EQ(pm.attack->n, 4);
+    EXPECT_EQ(pm.attack->t, 1);
+    EXPECT_EQ(pm.attack->inputs, (std::vector<int>{0, 0, 1}));
+    EXPECT_FALSE(pm.attack->expect_decision);
+
+    // Direct load and registry factory agree verbatim.
+    ASSERT_EQ(direct.expects.size(), pm.expects.size());
+    for (std::size_t i = 0; i < direct.expects.size(); ++i) {
+      EXPECT_EQ(direct.expects[i].obligation, pm.expects[i].obligation);
+      EXPECT_EQ(direct.expects[i].violated, pm.expects[i].violated);
+    }
+  }
+}
+
+// Every builtin declares a verdict surface drawn from its category's
+// obligation vocabulary (the lowering enforces this; pin it for the corpus).
+TEST(Registry, AllSpecsDeclareValidSurfaces) {
+  ProtocolRegistry r = ProtocolRegistry::with_builtins();
+  for (const std::string& name : r.names()) {
+    protocols::ProtocolModel pm = r.make(name);
+    EXPECT_FALSE(pm.expects.empty()) << name;
+    std::vector<std::string> vocab = protocols::obligation_names(pm.category);
+    for (const protocols::ExpectedVerdict& e : pm.expects) {
+      EXPECT_NE(std::find(vocab.begin(), vocab.end(), e.obligation),
+                vocab.end())
+          << name << ": " << e.obligation;
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // cross-validation that pruned and unpruned enumerations agree on verdicts.
 #include <gtest/gtest.h>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "schema/checker.h"
 #include "schema/guards.h"
 #include "spec/spec.h"
@@ -11,6 +11,10 @@
 
 namespace ctaver::schema {
 namespace {
+
+protocols::ProtocolModel builtin(const std::string& name) {
+  return frontend::ProtocolRegistry::with_builtins().make(name);
+}
 
 ta::System prepared(const ta::System& sys) {
   return ta::single_round(ta::nonprobabilistic(sys));
@@ -26,7 +30,7 @@ int find_guard(const GuardTable& table, const ta::System& sys,
 }
 
 TEST(Independence, CoinGuardsContributeNothing) {
-  ta::System rd = prepared(protocols::cc85a().system);
+  ta::System rd = prepared(builtin("CC85a").system);
   GuardTable table = analyze_guards(rd, true);
   int cc0 = find_guard(table, rd, "cc0 >= 1");
   ASSERT_GE(cc0, 0);
@@ -41,7 +45,7 @@ TEST(Independence, CoinGuardsContributeNothing) {
 TEST(Independence, EchoGuardsSupportDownstreamThresholds) {
   // In MMR14 the echo guard b1 >= t+1-f gates rules that increment b1 and
   // feed the whole AUX chain: it must NOT commute past the accept guard.
-  ta::System rd = prepared(protocols::mmr14().system);
+  ta::System rd = prepared(builtin("MMR14").system);
   GuardTable table = analyze_guards(rd, true);
   int echo1 = find_guard(table, rd, "b1 >= t - f + 1");
   int accept1 = find_guard(table, rd, "b1 >= 2*t - f + 1");
@@ -55,7 +59,7 @@ TEST(Independence, EchoGuardsSupportDownstreamThresholds) {
 TEST(Independence, PrecedenceChainAuxAfterAccept) {
   // a0 >= n-t-f can only flip after b0 >= 2t+1-f (all a0-incrementing rules
   // carry the accept guard).
-  ta::System rd = prepared(protocols::mmr14().system);
+  ta::System rd = prepared(builtin("MMR14").system);
   GuardTable table = analyze_guards(rd, true);
   int quorum0 = find_guard(table, rd, "a0 >= n - t - f");
   int accept0 = find_guard(table, rd, "b0 >= 2*t - f + 1");
@@ -66,7 +70,7 @@ TEST(Independence, PrecedenceChainAuxAfterAccept) {
 }
 
 TEST(Independence, FallingGuardsAppearInRefinedModels) {
-  protocols::ProtocolModel pm = protocols::mmr14();
+  protocols::ProtocolModel pm = builtin("MMR14");
   ta::System rdr = prepared(pm.refined());
   GuardTable table = analyze_guards(rdr, true);
   int falling = 0;
@@ -75,7 +79,7 @@ TEST(Independence, FallingGuardsAppearInRefinedModels) {
 }
 
 TEST(Independence, PrunedEnumerationIsSmaller) {
-  ta::System rd = prepared(protocols::cc85a().system);
+  ta::System rd = prepared(builtin("CC85a").system);
   spec::Spec inv1 = spec::inv1(rd, 0);
   long long raw = count_schemas(rd, inv1, false, 100'000'000);
   long long pruned = count_schemas(rd, inv1, true, 100'000'000);
@@ -88,7 +92,7 @@ class PrunedVsUnpruned : public ::testing::TestWithParam<int> {};
 
 TEST_P(PrunedVsUnpruned, SameVerdictOnNaiveVotingFamily) {
   // Small systems where the unpruned enumeration is feasible.
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = builtin("NaiveVoting");
   ta::System rd = prepared(pm.system);
   int v = GetParam() % 2;
   bool agreement = GetParam() < 2;
@@ -107,7 +111,7 @@ TEST_P(PrunedVsUnpruned, SameVerdictOnNaiveVotingFamily) {
 INSTANTIATE_TEST_SUITE_P(Specs, PrunedVsUnpruned, ::testing::Range(0, 4));
 
 TEST(Independence, PrunedVsUnprunedOnCc85aAgreement) {
-  ta::System rd = prepared(protocols::cc85a().system);
+  ta::System rd = prepared(builtin("CC85a").system);
   spec::Spec s = spec::inv1(rd, 0);
   CheckOptions raw_opts;
   raw_opts.prune = false;

@@ -18,6 +18,10 @@
 namespace ctaver::verify {
 namespace {
 
+protocols::ProtocolModel builtin(const std::string& name) {
+  return frontend::ProtocolRegistry::with_builtins().make(name);
+}
+
 /// Workers for the parallel leg: hardware_concurrency per the harness
 /// contract, but at least 4 so single-core CI runners still exercise real
 /// task interleaving on the pool.
@@ -276,7 +280,7 @@ TEST(ParallelPipeline, SchemaBudgetExhaustionIsInconclusiveNotWrong) {
     Options opts;
     opts.jobs = jobs;
     opts.schema.max_schemas = 1;
-    ProtocolReport r = verify_protocol(protocols::cc85a(), opts);
+    ProtocolReport r = verify_protocol(builtin("CC85a"), opts);
     for (const PropertyResult* p :
          {&r.agreement, &r.validity, &r.termination}) {
       EXPECT_FALSE(p->has_counterexample()) << "jobs=" << jobs;
@@ -301,7 +305,7 @@ TEST(ParallelPipeline, TimeBudgetExhaustionCancelsSweepsInconclusively) {
     Options opts;
     opts.jobs = jobs;
     opts.schema.time_budget_s = 0.0;
-    ProtocolReport r = verify_protocol(protocols::cc85a(), opts);
+    ProtocolReport r = verify_protocol(builtin("CC85a"), opts);
     for (const PropertyResult* p :
          {&r.agreement, &r.validity, &r.termination}) {
       EXPECT_FALSE(p->holds()) << "jobs=" << jobs;
@@ -328,9 +332,9 @@ TEST(ParallelPipeline, AutoJobsSmoke) {
   // serial rendering like any other width.
   Options opts;
   opts.jobs = 1;
-  std::string serial = render(verify_protocol(protocols::fmr05(), opts));
+  std::string serial = render(verify_protocol(builtin("FMR05"), opts));
   opts.jobs = 0;
-  std::string auto_jobs = render(verify_protocol(protocols::fmr05(), opts));
+  std::string auto_jobs = render(verify_protocol(builtin("FMR05"), opts));
   EXPECT_EQ(serial, auto_jobs);
 }
 

@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "replay/replay.h"
 #include "schema/checker.h"
 #include "spec/spec.h"
@@ -17,6 +17,10 @@
 
 namespace ctaver::replay {
 namespace {
+
+protocols::ProtocolModel builtin(const std::string& name) {
+  return frontend::ProtocolRegistry::with_builtins().make(name);
+}
 
 /// NaiveVoting's Inv1 counterexample: the cheapest genuine CE in the corpus.
 struct NaiveCe {
@@ -27,7 +31,7 @@ struct NaiveCe {
 
 NaiveCe naive_inv1_ce() {
   NaiveCe out;
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = builtin("NaiveVoting");
   out.rd = ta::single_round(ta::nonprobabilistic(pm.system));
   out.spec = spec::inv1(out.rd, 0);
   schema::CheckOptions opts;
@@ -133,12 +137,12 @@ TEST(Replay, PipelineReplayIsByteIdenticalAcrossJobs) {
   opts.replay_ce = true;
   opts.jobs = 1;
   std::string serial =
-      render_obligations(verify_protocol(protocols::naive_voting(), opts));
+      render_obligations(verify_protocol(builtin("NaiveVoting"), opts));
   EXPECT_NE(serial.find("confirmed"), std::string::npos);
   for (int jobs : {2, 8}) {
     opts.jobs = jobs;
     std::string parallel =
-        render_obligations(verify_protocol(protocols::naive_voting(), opts));
+        render_obligations(verify_protocol(builtin("NaiveVoting"), opts));
     EXPECT_EQ(serial, parallel) << "jobs=" << jobs;
   }
 }
@@ -153,7 +157,7 @@ TEST(Replay, Mmr14Cb2CeReplaysThroughThePipeline) {
   opts.run_sweeps = false;
   opts.jobs = 1;
   opts.only_obligations = {"CB2"};
-  verify::ProtocolReport r = verify_protocol(protocols::mmr14(), opts);
+  verify::ProtocolReport r = verify_protocol(builtin("MMR14"), opts);
   EXPECT_TRUE(r.agreement.obligations.empty());
   EXPECT_TRUE(r.validity.obligations.empty());
   ASSERT_EQ(r.termination.obligations.size(), 1u);
@@ -169,9 +173,8 @@ TEST(Replay, ObligationNamesMatchThePlannedReports) {
   // protocols::obligation_names is the expect-block vocabulary; it must
   // stay in lockstep with the pipeline's planned slots. A zero budget makes
   // planning (and thus slot creation) the only work.
-  for (auto builder : {protocols::naive_voting, protocols::rabin83,
-                       protocols::cc85a, protocols::mmr14}) {
-    protocols::ProtocolModel pm = builder();
+  for (const char* name : {"NaiveVoting", "Rabin83", "CC85a", "MMR14"}) {
+    protocols::ProtocolModel pm = builtin(name);
     verify::Options opts;
     opts.jobs = 1;
     opts.schema.time_budget_s = 0.0;

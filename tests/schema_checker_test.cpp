@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "spec/spec.h"
 #include "ta/builder.h"
 #include "ta/transforms.h"
+#include "util/cancel.h"
 #include "util/thread_pool.h"
 
 namespace ctaver::schema {
@@ -373,6 +375,46 @@ TEST(CheckSpec, MidSubtreeBudgetCancellationNeverFlipsVerdict) {
     EXPECT_FALSE(res.holds) << "cap=" << cap;
     if (!res.ce.has_value()) {
       EXPECT_FALSE(res.complete) << "cap=" << cap;
+    }
+  }
+}
+
+/// A per-check cancel source that trips on its k-th poll and stays tripped.
+struct TripOnPoll final : util::CancelSource {
+  explicit TripOnPoll(long long k) : k(k) {}
+  [[nodiscard]] bool cancelled() const override {
+    return polls.fetch_add(1, std::memory_order_relaxed) + 1 >= k;
+  }
+  long long k;
+  mutable std::atomic<long long> polls{0};
+};
+
+TEST(CheckSpec, CancelAtAnyPollOfARefutedSpecNeverThrows) {
+  // The refuted case of the test above, cut deterministically: one worker,
+  // a cancel source tripping on its k-th poll, for every k the uncancelled
+  // run reaches. Trips that land inside the counterexample's re-solve
+  // (between its SAT check and the minimization's own check) included, the
+  // result is the counterexample or inconclusive, never an exception.
+  ta::System bad = prepared(naive_voting(true));
+  const spec::Spec inv1 = spec::inv1(bad, 0);
+  CheckOptions opts;
+  opts.workers = 1;
+  TripOnPoll never(std::numeric_limits<long long>::max());
+  opts.extra_cancel = &never;
+  const CheckResult ref = check_spec(bad, inv1, opts);
+  ASSERT_TRUE(ref.ce.has_value());
+  const long long polls = never.polls.load();
+  ASSERT_GT(polls, 1);
+  for (long long k = 1; k <= polls; ++k) {
+    TripOnPoll trip(k);
+    opts.extra_cancel = &trip;
+    CheckResult res;
+    ASSERT_NO_THROW(res = check_spec(bad, inv1, opts)) << "k=" << k;
+    EXPECT_FALSE(res.holds) << "k=" << k;
+    if (res.ce.has_value()) {
+      EXPECT_EQ(res.ce->text, ref.ce->text) << "k=" << k;
+    } else {
+      EXPECT_FALSE(res.complete) << "k=" << k;
     }
   }
 }

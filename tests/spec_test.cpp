@@ -2,7 +2,7 @@
 // location sets the named conditions select.
 #include <gtest/gtest.h>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "spec/spec.h"
 #include "ta/transforms.h"
 
@@ -10,8 +10,8 @@ namespace ctaver::spec {
 namespace {
 
 ta::System cc85a_rd() {
-  return ta::single_round(
-      ta::nonprobabilistic(protocols::cc85a().system));
+  return ta::single_round(ta::nonprobabilistic(
+      frontend::ProtocolRegistry::with_builtins().make("CC85a").system));
 }
 
 TEST(Spec, Inv1SelectsDecisionsAndOppositeFinals) {
@@ -51,7 +51,8 @@ TEST(Spec, C2IsInv2AtOppositeValue) {
 }
 
 TEST(Spec, BindingUsesNamedLocations) {
-  protocols::ProtocolModel pm = protocols::aby22();
+  protocols::ProtocolModel pm =
+      frontend::ProtocolRegistry::with_builtins().make("ABY22");
   ta::System rd = ta::single_round(ta::nonprobabilistic(pm.system));
   Spec s = binding(rd, "CB2", pm.n0_loc, pm.m1_loc);
   EXPECT_EQ(s.premise.locs.size(), 1u);

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "frontend/lower.h"
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "svc/proof_cache.h"
 #include "util/hash.h"
 #include "verify/pipeline.h"
@@ -25,6 +25,10 @@ namespace ctaver {
 namespace {
 
 namespace fs = std::filesystem;
+
+protocols::ProtocolModel builtin(const std::string& name) {
+  return frontend::ProtocolRegistry::with_builtins().make(name);
+}
 
 // A self-contained category-(B) spec (the paper's naive-voting warm-up).
 // The variants below edit exactly one aspect each, so the tests can pin
@@ -114,7 +118,7 @@ TEST(Sha256, KnownVectors) {
 // and re-pin when that is intentional; any accidental drift silently
 // invalidates every user's proof cache.
 TEST(CacheKey, GoldenValuesNaiveVoting) {
-  std::vector<verify::ObligationKey> keys = keys_of(protocols::naive_voting());
+  std::vector<verify::ObligationKey> keys = keys_of(builtin("NaiveVoting"));
   ASSERT_EQ(keys.size(), 6u);
   const char* expected[][3] = {
       {"Inv1(v=0)", "parametric",
@@ -482,7 +486,7 @@ TEST(PipelineCache, WarmResubmissionReprovesOnlyChangedObligations) {
 }
 
 TEST(PipelineCache, HitPathBytesMatchColdRunAcrossJobsAndWorkers) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = builtin("NaiveVoting");
   verify::Options plain;
   std::string cold = render(verify::verify_protocol(pm, plain));
 
@@ -516,7 +520,7 @@ TEST(PipelineCache, HitPathBytesMatchColdRunAcrossJobsAndWorkers) {
 TEST(PipelineCache, ReplayedCounterexampleReplaysByteIdentically) {
   // replay_ce recomputes the concretization on every run — a cache hit
   // must re-run it deterministically, not store it.
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = builtin("NaiveVoting");
   verify::Options opts;
   opts.replay_ce = true;
   verify::ProtocolReport cold = verify::verify_protocol(pm, opts);
@@ -538,7 +542,7 @@ TEST(PipelineCache, ReplayedCounterexampleReplaysByteIdentically) {
 TEST(Pipeline, UnknownOnlyObligationNameThrows) {
   verify::Options opts;
   opts.only_obligations = {"NoSuchObligation"};
-  EXPECT_THROW(verify::verify_protocol(protocols::naive_voting(), opts),
+  EXPECT_THROW(verify::verify_protocol(builtin("NaiveVoting"), opts),
                std::invalid_argument);
   // Sweep names stay valid vocabulary even when sweeps are disabled: the
   // plan is silently empty for them, but the name is not an error.
@@ -546,7 +550,7 @@ TEST(Pipeline, UnknownOnlyObligationNameThrows) {
   ok.only_obligations = {"C1"};
   ok.run_sweeps = false;
   verify::ProtocolReport r =
-      verify::verify_protocol(protocols::naive_voting(), ok);
+      verify::verify_protocol(builtin("NaiveVoting"), ok);
   EXPECT_TRUE(r.termination.obligations.empty());
 }
 

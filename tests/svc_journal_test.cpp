@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "protocols/protocols.h"
+#include "frontend/registry.h"
 #include "svc/journal.h"
 #include "svc/proof_cache.h"
 #include "util/hash.h"
@@ -26,6 +26,10 @@ namespace ctaver::svc {
 namespace {
 
 namespace fs = std::filesystem;
+
+protocols::ProtocolModel builtin(const std::string& name) {
+  return frontend::ProtocolRegistry::with_builtins().make(name);
+}
 
 class TempDir {
  public:
@@ -61,7 +65,7 @@ void append_raw(const fs::path& p, const std::string& bytes) {
 }
 
 std::vector<verify::ObligationKey> naive_keys() {
-  return verify::obligation_cache_keys(protocols::naive_voting());
+  return verify::obligation_cache_keys(builtin("NaiveVoting"));
 }
 
 TEST(Journal, CreatesHeaderAndAppendsSurviveReopen) {
@@ -238,7 +242,7 @@ std::string render(const verify::ProtocolReport& r) {
 }
 
 TEST(JournalPipeline, EveryDurableVerdictLandsARecord) {
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = builtin("NaiveVoting");
   TempDir dir;
   ProofCache cache(dir.str());
   Journal journal(dir.str());
@@ -287,7 +291,7 @@ TEST(JournalPipeline, PartialDurabilityResumesByteIdentical) {
   // with a full run, then surgically delete half the proof entries and
   // journal only the survivors. The "resume" run must re-prove exactly
   // the missing ones and render byte-identically to a cold run.
-  protocols::ProtocolModel pm = protocols::naive_voting();
+  protocols::ProtocolModel pm = builtin("NaiveVoting");
   std::string cold = render(verify::verify_protocol(pm, {}));
 
   TempDir dir;

@@ -25,8 +25,8 @@
 #include <thread>
 #include <vector>
 
+#include "frontend/registry.h"
 #include "obs/metrics.h"
-#include "protocols/protocols.h"
 #include "svc/client.h"
 #include "svc/json.h"
 #include "svc/server.h"
@@ -239,7 +239,8 @@ TEST(SvcServer, SubmitStreamsVerdictLinesByteIdenticalToVerify) {
 
   // The daemon's lines are the CLI's lines: same renderer, same bytes.
   verify::ProtocolReport direct =
-      verify::verify_protocol(protocols::naive_voting(), {});
+      verify::verify_protocol(
+          frontend::ProtocolRegistry::with_builtins().make("NaiveVoting"), {});
   std::vector<std::string> expect_lines;
   for (const verify::PropertyResult* p :
        {&direct.agreement, &direct.validity, &direct.termination}) {
@@ -378,7 +379,8 @@ TEST(SvcServer, BlockingClientMatchesVerifyOutput) {
   EXPECT_EQ(code, 1) << err.str();
   // Header + six indented obligation lines + the Table-II row.
   verify::ProtocolReport direct =
-      verify::verify_protocol(protocols::naive_voting(), {});
+      verify::verify_protocol(
+          frontend::ProtocolRegistry::with_builtins().make("NaiveVoting"), {});
   std::ostringstream expect;
   expect << "== NaiveVoting\n";
   for (const verify::PropertyResult* p :

@@ -7,13 +7,17 @@
 #include <string>
 #include <vector>
 
+#include "frontend/registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "protocols/protocols.h"
 #include "verify/pipeline.h"
 
 namespace ctaver::verify {
 namespace {
+
+protocols::ProtocolModel builtin(const std::string& name) {
+  return frontend::ProtocolRegistry::with_builtins().make(name);
+}
 
 Options fast_options() {
   Options opts;
@@ -22,7 +26,7 @@ Options fast_options() {
 }
 
 TEST(Pipeline, Cc85aFullyVerifies) {
-  ProtocolReport r = verify_protocol(protocols::cc85a(), fast_options());
+  ProtocolReport r = verify_protocol(builtin("CC85a"), fast_options());
   EXPECT_TRUE(r.agreement.holds());
   EXPECT_TRUE(r.validity.holds());
   EXPECT_TRUE(r.termination.holds());
@@ -46,7 +50,7 @@ TEST(Pipeline, Cc85aFullyVerifies) {
 }
 
 TEST(Pipeline, Rabin83CategoryAVerifies) {
-  ProtocolReport r = verify_protocol(protocols::rabin83(), fast_options());
+  ProtocolReport r = verify_protocol(builtin("Rabin83"), fast_options());
   EXPECT_EQ(r.category, protocols::Category::kA);
   EXPECT_TRUE(r.validity.holds());
   EXPECT_TRUE(r.termination.holds());
@@ -58,8 +62,8 @@ TEST(Pipeline, Rabin83CategoryAVerifies) {
 }
 
 TEST(Pipeline, Fmr05AndCc85bVerify) {
-  for (auto builder : {protocols::fmr05, protocols::cc85b}) {
-    ProtocolReport r = verify_protocol(builder(), fast_options());
+  for (const char* name : {"FMR05", "CC85b"}) {
+    ProtocolReport r = verify_protocol(builtin(name), fast_options());
     EXPECT_TRUE(r.agreement.holds()) << r.protocol;
     EXPECT_TRUE(r.validity.holds()) << r.protocol;
     EXPECT_TRUE(r.termination.holds()) << r.protocol;
@@ -67,14 +71,14 @@ TEST(Pipeline, Fmr05AndCc85bVerify) {
 }
 
 TEST(Pipeline, Ks16Verifies) {
-  ProtocolReport r = verify_protocol(protocols::ks16(), fast_options());
+  ProtocolReport r = verify_protocol(builtin("KS16"), fast_options());
   EXPECT_TRUE(r.agreement.holds());
   EXPECT_TRUE(r.validity.holds());
   EXPECT_TRUE(r.termination.holds());
 }
 
 TEST(Pipeline, TableFormatting) {
-  ProtocolReport r = verify_protocol(protocols::cc85a(), fast_options());
+  ProtocolReport r = verify_protocol(builtin("CC85a"), fast_options());
   std::string header = table2_header();
   std::string row = table2_row(r);
   EXPECT_NE(header.find("nschemas"), std::string::npos);
@@ -87,7 +91,7 @@ TEST(Pipeline, BudgetLimitedVerdictIsNotCE) {
   Options opts;
   opts.schema.max_schemas = 1;  // everything inconclusive
   opts.run_sweeps = false;
-  ProtocolReport r = verify_protocol(protocols::cc85a(), opts);
+  ProtocolReport r = verify_protocol(builtin("CC85a"), opts);
   EXPECT_FALSE(r.agreement.holds());
   EXPECT_FALSE(r.agreement.has_counterexample());
   EXPECT_TRUE(r.agreement.inconclusive());
@@ -151,7 +155,7 @@ TEST(Pipeline, ObservabilityIsOutOfBand) {
   // The hard contract of the obs layer: enabling metrics + tracing changes
   // no rendered report field, at every (jobs x workers) combination. Runs
   // complete well within budget here, so the renders must be byte-equal.
-  const protocols::ProtocolModel pm = protocols::cc85a();
+  const protocols::ProtocolModel pm = builtin("CC85a");
   const int widths[] = {1, 2, 8};
 
   auto run_grid = [&] {
