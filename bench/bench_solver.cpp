@@ -13,18 +13,17 @@
 // numbers measure throughput at equal work volume, not pivot identity.
 //
 //   bench_solver [--max-schemas N] [--budget SECONDS] [--workers N]
-//                [--static-leg] [--specs DIR] [--out FILE] [PROTOCOL...]
+//                [--specs DIR] [--out FILE] [PROTOCOL...]
 //
 // Defaults: the paper's eight Table-II protocols, 1500 schemas and 300 s
-// per (protocol, mode), workers 1 (no partitioned leg). --static-leg adds
-// a fourth leg running the reference static round-robin dispatcher, so the
-// JSON records the claim-index scheduling-imbalance drop (unit_imbalance /
-// pivot_imbalance, max/mean over per-logical-worker slot sums) next to the
-// identical pivot counts. The committed BENCH_solver.json is produced with
-// --workers 2 --static-leg; CI smoke-runs a small complete-regime workload
-// and diffs the pivot counts against the committed
-// bench/bench_solver_smoke.json baseline (plus a unit-imbalance ceiling on
-// the claim leg).
+// per (protocol, mode), workers 1 (no partitioned leg). The partitioned
+// leg also records the claim index's scheduling balance (unit_imbalance /
+// pivot_imbalance, max/mean over per-logical-worker slot sums). The
+// committed BENCH_solver.json was produced with --workers 2 and one more
+// leg, for a static round-robin dispatcher that has since been removed. CI
+// smoke-runs a small complete-regime workload and diffs the pivot counts
+// against the committed bench/bench_solver_smoke.json baseline (plus a
+// unit-imbalance ceiling on the partitioned leg).
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -103,7 +102,6 @@ int main(int argc, char** argv) {
   long long max_schemas = 1500;
   double budget_s = 300.0;
   int workers = 1;
-  bool static_leg = false;
   std::string specs_dir;
   std::string out_path;
   std::vector<std::string> protocols;
@@ -114,8 +112,6 @@ int main(int argc, char** argv) {
       budget_s = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
       workers = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--static-leg") == 0) {
-      static_leg = true;
     } else if (std::strcmp(argv[i], "--specs") == 0 && i + 1 < argc) {
       specs_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -149,19 +145,10 @@ int main(int argc, char** argv) {
       const char* name;
       bool incremental;
       int workers;
-      bool static_assignment;
     };
-    std::vector<Leg> legs = {{"fresh", false, 1, false},
-                             {"incremental", true, 1, false}};
+    std::vector<Leg> legs = {{"fresh", false, 1}, {"incremental", true, 1}};
     const bool partitioned = workers > 1;
-    if (partitioned) legs.push_back({"partitioned", true, workers, false});
-    // --static-leg: the PR-5 static round-robin dispatcher as a fourth leg,
-    // so the JSON records the claim-index imbalance drop side by side
-    // (pivots must match the claim leg query-for-query on complete runs).
-    const bool with_static = partitioned && static_leg;
-    if (with_static) {
-      legs.push_back({"partitioned_static", true, workers, true});
-    }
+    if (partitioned) legs.push_back({"partitioned", true, workers});
     const std::size_t nlegs = legs.size();
 
     std::ostringstream json;
@@ -180,7 +167,6 @@ int main(int argc, char** argv) {
         verify::Options leg_opts = opts;
         leg_opts.schema.incremental = legs[leg].incremental;
         leg_opts.schema.workers = legs[leg].workers;
-        leg_opts.schema.static_assignment = legs[leg].static_assignment;
         // Fresh registry per leg, so solver_seconds attributes THIS leg's
         // wall clock (nothing instrumented is in flight between legs).
         obs::Registry::global().reset();
@@ -244,13 +230,6 @@ int main(int argc, char** argv) {
              << ", \"partitioned_speedup\": "
              << ratio(stats[1].seconds, stats[2].seconds) << ",\n";
       }
-      if (with_static) {
-        json << "     \"partitioned_static\": " << mode_json(stats[3])
-             << ",\n"
-             << "     \"static_pivots_match\": "
-             << (stats[3].pivots == stats[2].pivots ? "true" : "false")
-             << ",\n";
-      }
       json << "     \"pivot_reduction\": "
            << ratio(double(stats[0].pivots), double(stats[1].pivots))
            << ", \"speedup\": "
@@ -266,12 +245,6 @@ int main(int argc, char** argv) {
            << (totals[2].pivots == totals[1].pivots ? "true" : "false")
            << ",\n    \"partitioned_speedup\": "
            << ratio(totals[1].seconds, totals[2].seconds) << ",\n";
-    }
-    if (with_static) {
-      json << "    \"partitioned_static\": " << mode_json(totals[3]) << ",\n"
-           << "    \"static_pivots_match\": "
-           << (totals[3].pivots == totals[2].pivots ? "true" : "false")
-           << ",\n";
     }
     json << "    \"pivot_reduction\": "
          << ratio(double(totals[0].pivots), double(totals[1].pivots))

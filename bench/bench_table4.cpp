@@ -112,6 +112,6 @@ int main() {
     }
   }
   std::cout << "\n(The pruned enumeration the checker actually runs is "
-               "orders of magnitude smaller; see bench_table2.)\n";
+               "orders of magnitude smaller; see `ctaver table2`.)\n";
   return 0;
 }

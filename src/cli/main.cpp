@@ -11,14 +11,19 @@
 // built-ins and spec files are interchangeable everywhere.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <exception>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "frontend/diag.h"
@@ -84,9 +89,6 @@ int usage(std::ostream& os, int code) {
         "                     (partitioned schema enumeration; default 1,\n"
         "                     0 = all cores; reports are byte-identical for\n"
         "                     every jobs x workers combination)\n"
-        "  --static-partition dispatch subtree units by static round-robin\n"
-        "                     instead of the claim index (reference mode;\n"
-        "                     reports are byte-identical either way)\n"
         "  --sweep a,b,...    override sweep instances (repeatable)\n"
         "  --replay-ce        verify: replay every schema counterexample\n"
         "                     through the concretization engine (src/replay)\n"
@@ -176,7 +178,6 @@ struct Args {
   double time_budget = 0;      // 0: keep the pipeline default
   int jobs = 0;                // 0: one worker per hardware thread
   int workers = -1;            // -1: keep the pipeline default (1)
-  bool static_partition = false;  // --static-partition: reference dispatch
   long long max_rss_mb = 0;       // --max-rss-mb: RSS watchdog (0 = off)
   double obligation_timeout = 0;  // --obligation-timeout (0 = off)
   std::vector<std::string> fault_inject;  // --fault-inject plans (repeatable)
@@ -195,15 +196,45 @@ struct Args {
   bool progress = false;
 };
 
+/// Parses a non-negative number spelled by the whole token: "2x", "-5",
+/// "", "inf" and values outside T's range are rejected.
+template <typename T>
+bool parse_number(const std::string& s, T& out) {
+  T v{};
+  const char* end = s.data() + s.size();
+  auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || p != end) return false;
+  if constexpr (std::is_signed_v<T>) {
+    if (v < 0 || !std::isfinite(v)) return false;
+  }
+  out = v;
+  return true;
+}
+
+/// The numeric flags and the Args field each one sets. What 0 means is per
+/// flag; see the usage text.
+using NumberField = std::variant<std::size_t Args::*, long long Args::*,
+                                 int Args::*, double Args::*>;
+const std::map<std::string, NumberField> kNumberFlags = {
+    {"--max-states", &Args::max_states},
+    {"--max-schemas", &Args::max_schemas},
+    {"--time-budget", &Args::time_budget},
+    {"--jobs", &Args::jobs},
+    {"--workers", &Args::workers},
+    {"--max-rss-mb", &Args::max_rss_mb},
+    {"--obligation-timeout", &Args::obligation_timeout},
+    {"--connect-timeout", &Args::connect_timeout},
+    {"--io-timeout", &Args::io_timeout},
+    {"--retries", &Args::retries},
+};
+
 bool parse_sweep(const std::string& s, std::vector<long long>& out) {
   std::istringstream is(s);
   std::string item;
   while (std::getline(is, item, ',')) {
-    try {
-      out.push_back(std::stoll(item));
-    } catch (const std::exception&) {
-      return false;
-    }
+    long long v = 0;
+    if (!parse_number(item, v)) return false;
+    out.push_back(v);
   }
   return !out.empty();
 }
@@ -224,8 +255,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.replay_ce = true;
     } else if (a == "--progress") {
       args.progress = true;
-    } else if (a == "--static-partition") {
-      args.static_partition = true;
     } else if (a == "--resume") {
       args.resume = true;
     } else if (a == "--specs") {
@@ -269,45 +298,11 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = value();
       if (v == nullptr) return false;
       args.fault_inject.emplace_back(v);
-    } else if (a == "--max-states" || a == "--max-schemas" ||
-               a == "--time-budget" || a == "--jobs" || a == "--workers" ||
-               a == "--max-rss-mb" || a == "--obligation-timeout" ||
-               a == "--connect-timeout" || a == "--io-timeout" ||
-               a == "--retries") {
+    } else if (auto f = kNumberFlags.find(a); f != kNumberFlags.end()) {
       const char* v = value();
       if (v == nullptr) return false;
-      try {
-        if (a == "--max-states") {
-          args.max_states = std::stoull(v);
-        } else if (a == "--max-schemas") {
-          args.max_schemas = std::stoll(v);
-        } else if (a == "--jobs") {
-          args.jobs = std::stoi(v);
-          if (args.jobs < 0) throw std::invalid_argument("negative");
-        } else if (a == "--workers") {
-          args.workers = std::stoi(v);
-          if (args.workers < 0) throw std::invalid_argument("negative");
-        } else if (a == "--max-rss-mb") {
-          args.max_rss_mb = std::stoll(v);
-          if (args.max_rss_mb < 0) throw std::invalid_argument("negative");
-        } else if (a == "--obligation-timeout") {
-          args.obligation_timeout = std::stod(v);
-          if (args.obligation_timeout < 0) {
-            throw std::invalid_argument("negative");
-          }
-        } else if (a == "--connect-timeout") {
-          args.connect_timeout = std::stod(v);
-          if (args.connect_timeout < 0) throw std::invalid_argument("negative");
-        } else if (a == "--io-timeout") {
-          args.io_timeout = std::stod(v);
-          if (args.io_timeout < 0) throw std::invalid_argument("negative");
-        } else if (a == "--retries") {
-          args.retries = std::stoi(v);
-          if (args.retries < 0) throw std::invalid_argument("negative");
-        } else {
-          args.time_budget = std::stod(v);
-        }
-      } catch (const std::exception&) {
+      if (!std::visit([&](auto field) { return parse_number(v, args.*field); },
+                      f->second)) {
         std::cerr << "ctaver: " << a << " needs a number, got '" << v << "'\n";
         return false;
       }
@@ -483,7 +478,6 @@ ctaver::verify::Options base_options(const Args& args) {
         args.workers == 0 ? ctaver::util::ThreadPool::hardware_workers()
                           : args.workers;
   }
-  opts.schema.static_assignment = args.static_partition;
   opts.schema.max_rss_mb = args.max_rss_mb;
   opts.obligation_timeout_s = args.obligation_timeout;
   if (args.max_states > 0) opts.max_states = args.max_states;

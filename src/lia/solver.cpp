@@ -13,6 +13,11 @@ namespace ctaver::lia {
 using util::Int128;
 using util::Rational;
 
+// Budgets of one check(), pivots counted over all B&B nodes. Running out of
+// either makes the check kUnknown.
+constexpr long long kMaxPivots = 2'000'000;
+constexpr long long kMaxNodes = 200'000;
+
 // ---------------------------------------------------------------------------
 // Variables and bounds
 // ---------------------------------------------------------------------------
@@ -445,7 +450,7 @@ Result Solver::solve() {
       }
     }
     if (xb == -1) return Result::kSat;
-    if (stat_pivots_ >= options_.max_pivots) return Result::kUnknown;
+    if (stat_pivots_ >= kMaxPivots) return Result::kUnknown;
     if ((stat_pivots_ & 255) == 0) {
       util::fault_point("lia.pivot");
       if (options_.cancel != nullptr && options_.cancel->cancelled()) {
@@ -554,7 +559,7 @@ Result Solver::do_check(bool relaxed) {
   bool tracked = true;
   std::vector<PendingBranch> pending;
   for (;;) {
-    if (stat_nodes_ >= options_.max_nodes) {
+    if (stat_nodes_ >= kMaxNodes) {
       res = Result::kUnknown;
       break;
     }
@@ -640,7 +645,7 @@ Result Solver::do_check_counted(bool relaxed) {
   return res;
 }
 
-Result Solver::check() { return do_check_counted(options_.relax_integrality); }
+Result Solver::check() { return do_check_counted(false); }
 
 Result Solver::check_relaxed() { return do_check_counted(true); }
 

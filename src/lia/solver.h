@@ -46,14 +46,6 @@ struct SolverOptions {
   /// Default variable window applied when no explicit bounds were given.
   long long default_lo = -1'000'000'000LL;
   long long default_hi = 1'000'000'000LL;
-  /// Budget on simplex pivots across one check() (all B&B nodes combined).
-  long long max_pivots = 2'000'000;
-  /// Budget on branch-and-bound nodes for one check().
-  long long max_nodes = 200'000;
-  /// Decide only the rational relaxation: kSat may then be spurious over
-  /// the integers (no model is exposed), but kUnsat remains a proof. Used
-  /// for prune-only probes where UNSAT is the actionable answer.
-  bool relax_integrality = false;
   /// Optional cooperative-cancellation source (not owned), polled every 256
   /// pivots and at every branch-and-bound node. A tripped source makes the
   /// in-flight check() return kUnknown, which is how the schema checker
@@ -112,13 +104,14 @@ class Solver {
 
   // --- solving -------------------------------------------------------------
 
-  /// Decides the conjunction. kUnknown only on budget exhaustion. Leaves
-  /// the scope stack as it found it; the tableau stays warm for the next
-  /// check after further add()/push()/pop() calls.
+  /// Decides the conjunction. kUnknown only on cancellation or on the
+  /// solver's fixed per-check caps (2M simplex pivots, 200k branch-and-bound
+  /// nodes). Leaves the scope stack as it found it; the tableau stays warm
+  /// for the next check after further add()/push()/pop() calls.
   Result check();
-  /// One-off rational-relaxation check regardless of
-  /// SolverOptions::relax_integrality (kUnsat is an integer proof, kSat may
-  /// be spurious; no model is exposed).
+  /// Decides only the rational relaxation: kUnsat is an integer proof, kSat
+  /// may be spurious over the integers (no model is exposed). Used for
+  /// prune-only probes, where UNSAT is the actionable answer.
   Result check_relaxed();
 
   /// Model access; valid after check() returned kSat.

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "lia/solver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
@@ -178,13 +179,11 @@ class Encoder {
       : sys_(&sys),
         table_(&table),
         rules_(&rules),
-        opts_(&opts),
-        solver_opts_(opts.solver),
         n_proc_(static_cast<int>(sys.process.locations.size())),
         n_coin_(static_cast<int>(sys.coin.locations.size())),
         flip_pos_(table.guards.size(), kUnflipped) {
     solver_opts_.cancel = cancel;
-    if (opts_->incremental) {
+    if (opts.incremental) {
       inc_.solver = Solver(solver_opts_);
       assert_prelude(inc_);
     }
@@ -295,12 +294,8 @@ class Encoder {
     if (span.active()) span.args("\"kind\":\"fresh\"");
     obs::add(obs::Counter::kSchemaQueries);
     ++nqueries_;
-    lia::SolverOptions solver_opts = solver_opts_;
-    // Prune-only probes act on UNSAT alone: the rational relaxation is
-    // enough (and much cheaper than branch & bound).
-    if (!spec) solver_opts.relax_integrality = true;
     Model m;
-    m.solver = Solver(solver_opts);
+    m.solver = Solver(solver_opts_);
     assert_prelude(m);
     set_flips(flips);
     if (spec && spec->shape == spec::Shape::kInitialImpliesGlobally) {
@@ -311,7 +306,9 @@ class Encoder {
       emit_segment_with_cuts(m, s, cut1, cut2, swap_cuts, spec, flips);
     }
 
-    Result res = m.solver.check();
+    // Prune-only probes act on UNSAT alone: the rational relaxation is
+    // enough (and much cheaper than branch & bound).
+    Result res = spec ? m.solver.check() : m.solver.check_relaxed();
     fresh_pivots_ += m.solver.total_pivots();
     if (sat) *sat = res == Result::kSat;
     if (res == Result::kUnknown) {
@@ -321,18 +318,16 @@ class Encoder {
     if (res == Result::kUnsat || !spec) return std::nullopt;
 
     // Shrink parameters for a readable report.
-    if (opts_->minimize_ce) {
-      LinExpr obj;
-      for (lia::Var v : m.pv) obj += LinExpr::term(v);
-      long long before = m.solver.total_pivots();
-      const Result min = m.solver.minimize(obj);
-      fresh_pivots_ += m.solver.total_pivots() - before;
-      // minimize() re-checks first; a cancel that trips in between leaves
-      // no model. Same outcome as a cancelled warm query.
-      if (min != Result::kSat) {
-        *unknown = true;
-        return std::nullopt;
-      }
+    LinExpr obj;
+    for (lia::Var v : m.pv) obj += LinExpr::term(v);
+    long long before = m.solver.total_pivots();
+    const Result min = m.solver.minimize(obj);
+    fresh_pivots_ += m.solver.total_pivots() - before;
+    // minimize() re-checks first; a cancel that trips in between leaves no
+    // model. Same outcome as a cancelled warm query.
+    if (min != Result::kSat) {
+      *unknown = true;
+      return std::nullopt;
     }
 
     Counterexample ce;
@@ -702,8 +697,7 @@ class Encoder {
   const ta::System* sys_;
   const GuardTable* table_;
   const std::vector<RuleView>* rules_;
-  const CheckOptions* opts_;
-  lia::SolverOptions solver_opts_;  // opts_->solver + the cancel source
+  lia::SolverOptions solver_opts_;  // defaults + the cancel source
   const int n_proc_;
   const int n_coin_;
 
@@ -839,17 +833,15 @@ int first_witness_segment(const GuardTable& table,
 // CheckOptions::partition_depth: prefixes shorter than the split form the
 // serial *stem*, every surviving split-depth prefix roots one *unit*, and
 // workers claim units from a shared atomic cursor in canonical sibling
-// order, running each claimed unit to completion before claiming the next
-// (static round-robin ownership is kept behind CheckOptions::
-// static_assignment as the reference dispatcher). Each unit runs
-// breadth-first with its own warm incremental solver — so its per-query
-// pivot counts depend only on the unit, never on which worker ran it or
-// what ran concurrently — and records per-level tallies. The merge then
-// replays the canonical order: totals accumulate level by level, and the
-// first counterexample in canonical order wins (an atomic min over
+// order, running each claimed unit to completion before claiming the next.
+// Each unit runs breadth-first with its own warm incremental solver — so
+// its per-query pivot counts depend only on the unit, never on which worker
+// ran it or what ran concurrently — and records per-level tallies. The merge
+// then replays the canonical order: totals accumulate level by level, and
+// the first counterexample in canonical order wins (an atomic min over
 // (depth, unit) keys lets doomed units stop early without ever influencing
 // the merged bytes). The result: CheckResult is byte-identical for every
-// `workers` value and either dispatcher, within budget.
+// `workers` value, within budget.
 // ---------------------------------------------------------------------------
 
 /// Canonical position of (depth, unit) in the level-major order; smaller is
@@ -1082,7 +1074,10 @@ class SubtreeRun {
     const std::vector<int>& flips = item.flips;
     const CheckOptions& opts = *cx_->opts;
     const spec::Spec& spec = *cx_->spec;
-    if (opts.prefix_prune && !flips.empty()) {
+    // The prefix query is a sub-conjunction of every extension's query, so
+    // an unrealizable prefix prunes its whole subtree without losing
+    // counterexamples. This is what keeps category (C) tractable.
+    if (!flips.empty()) {
       if (!charge_one()) return false;
       if (*skip_rest) {
         // A same-group sibling's probe was refuted without its final
@@ -1243,7 +1238,7 @@ CheckResult check_spec(const ta::System& sys, const spec::Spec& spec,
   // anywhere cancels every sibling obligation) or a private one scoped to
   // this call, built from the per-call limits.
   SharedBudget local_budget(opts.max_schemas, opts.time_budget_s,
-                            opts.max_rss_mb << 20);
+                            opts.max_rss_mb);
 
   EnumContext cx;
   cx.sys = &sys;
@@ -1278,8 +1273,8 @@ CheckResult check_spec(const ta::System& sys, const spec::Spec& spec,
           cx, i + 1, std::move(roots[i]), INT_MAX, nullptr));
     }
 
-    // Unit dispatch. Default is the shared claim index: workers claim the
-    // next unclaimed unit from an atomic cursor (canonical sibling order)
+    // Unit dispatch by a shared claim index: workers claim the next
+    // unclaimed unit from an atomic cursor (canonical sibling order)
     // and run it level by level to completion (or CE/budget cancellation),
     // so no worker parks while a sibling holds all the deep subtrees.
     // Placement cannot change the merged bytes: per-unit work is
@@ -1287,18 +1282,12 @@ CheckResult check_spec(const ta::System& sys, const spec::Spec& spec,
     // replayed), and the merge only consumes levels a unit is guaranteed to
     // have completed. A worker that runs ahead of a slower sibling can only
     // burn budget, never change the merged bytes (the merge is by-level).
-    // opts.static_assignment restores the round-robin ownership loop
-    // (worker w owns units w, w+workers, ..., advanced one level per sweep)
-    // as the reference dispatcher for the identity tests.
     int workers = opts.workers > 0 ? opts.workers
                                    : util::ThreadPool::hardware_workers();
     workers = std::min(workers, static_cast<int>(units.size()));
     CTAVER_LOG(kDebug) << "check_spec(" << spec.name << "): " << units.size()
                        << " subtree units at split depth " << split << ", "
-                       << workers << " enumeration worker(s), "
-                       << (opts.static_assignment ? "static round-robin"
-                                                  : "claim-index")
-                       << " dispatch";
+                       << workers << " enumeration worker(s)";
     std::vector<std::exception_ptr> errors(
         static_cast<std::size_t>(std::max(workers, 1)));
     result.per_worker.assign(static_cast<std::size_t>(std::max(workers, 1)),
@@ -1308,48 +1297,24 @@ CheckResult check_spec(const ta::System& sys, const spec::Spec& spec,
       CheckResult::WorkerStat& stat =
           result.per_worker[static_cast<std::size_t>(w)];
       try {
-        if (opts.static_assignment) {
-          std::vector<char> counted(units.size(), 0);
-          for (;;) {
-            bool any = false;
-            for (std::size_t i = static_cast<std::size_t>(w);
-                 i < units.size(); i += static_cast<std::size_t>(workers)) {
-              SubtreeRun& u = *units[i];
-              if (!u.active()) continue;
-              if (!counted[i]) {
-                counted[i] = 1;
-                ++stat.units;
-              }
-              u.advance_level();
-              any = any || u.active();
-            }
-            if (!any) break;
+        for (;;) {
+          const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (i >= units.size()) break;
+          SubtreeRun& u = *units[i];
+          // CE-aware claim skip: a recorded best CE canonically before this
+          // unit's first level means the unit could only stop at its first
+          // poll() anyway — its whole subtree is outside every merge cutoff
+          // (best_ce shrinks monotonically, so the check never un-skips).
+          // Skipping at claim time saves adopting a warm solver for a
+          // doomed subtree without touching merged bytes.
+          if (cx.best_ce.load(std::memory_order_relaxed) <
+              order_key(split, u.index())) {
+            obs::add(obs::Counter::kSchemaClaimSkips);
+            continue;
           }
-          for (std::size_t i = static_cast<std::size_t>(w); i < units.size();
-               i += static_cast<std::size_t>(workers)) {
-            stat.pivots += units[i]->pivots_total();
-          }
-        } else {
-          for (;;) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= units.size()) break;
-            SubtreeRun& u = *units[i];
-            // CE-aware claim skip: a recorded best CE canonically before
-            // this unit's first level means the unit could only stop at its
-            // first poll() anyway — its whole subtree is outside every
-            // merge cutoff (best_ce shrinks monotonically, so the check
-            // never un-skips). Skipping at claim time saves adopting a warm
-            // solver for a doomed subtree without touching merged bytes.
-            if (cx.best_ce.load(std::memory_order_relaxed) <
-                order_key(split, u.index())) {
-              obs::add(obs::Counter::kSchemaClaimSkips);
-              continue;
-            }
-            ++stat.units;
-            while (u.active()) u.advance_level();
-            stat.pivots += u.pivots_total();
-          }
+          ++stat.units;
+          while (u.active()) u.advance_level();
+          stat.pivots += u.pivots_total();
         }
       } catch (const util::Cancelled&) {
         // A Cancelled escaping a unit (e.g. an injected cancel) left some

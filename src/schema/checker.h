@@ -22,13 +22,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "lia/solver.h"
 #include "schema/guards.h"
 #include "spec/spec.h"
 #include "ta/model.h"
@@ -68,11 +68,14 @@ class SharedBudget final : public util::CancelSource {
     kInterrupt
   };
 
+  /// `max_rss_mb` is the RSS watchdog cap in MiB (0 = off). A cap past
+  /// LLONG_MAX bytes saturates there instead of wrapping.
   SharedBudget(long long max_schemas, double time_budget_s,
-               long long max_rss_bytes = 0)
+               long long max_rss_mb = 0)
       : max_(max_schemas),
         time_budget_s_(time_budget_s),
-        max_rss_bytes_(max_rss_bytes) {}
+        max_rss_bytes_(max_rss_mb > (LLONG_MAX >> 20) ? LLONG_MAX
+                                                        : max_rss_mb << 20) {}
 
   /// Reserves `n` schema queries. Returns false (and trips the token) once
   /// the schema or time budget is exhausted. The counter is clamped: a
@@ -186,17 +189,10 @@ class SharedBudget final : public util::CancelSource {
 struct CheckOptions {
   /// Use RC-entailment precedence pruning of milestone orders.
   bool prune = true;
-  /// Prune DFS subtrees whose milestone prefix is already unrealizable
-  /// (the prefix query is a sub-conjunction of every extension's query, so
-  /// this never loses counterexamples). This is what makes the category-(C)
-  /// benchmarks tractable on a single machine.
-  bool prefix_prune = true;
   /// Abort after this many schemas (then CheckResult.complete = false).
   long long max_schemas = 5'000'000;
   /// Wall-clock budget in seconds.
   double time_budget_s = 600.0;
-  /// Shrink counterexample parameters via objective minimization.
-  bool minimize_ce = true;
   /// Keep one long-lived incremental LIA solver per enumeration subtree:
   /// the obligation-invariant prelude is asserted once, each milestone-
   /// order prefix level lives in a solver scope shared by all of its cut
@@ -219,14 +215,6 @@ struct CheckOptions {
   /// within budget. This extends the pipeline's per-obligation determinism
   /// guarantee to within-obligation parallelism.
   int workers = 0;
-  /// Dispatch of subtree units onto the enumeration workers. false (the
-  /// default) is the shared claim-index above: dynamic placement, but
-  /// byte-identical output because per-unit work is placement-independent
-  /// and the canonical merge only consumes levels every unit completes.
-  /// true restores the static `i += workers` round-robin ownership loop,
-  /// kept as the reference dispatcher for the claim-vs-static identity
-  /// tests and for A/B-ing scheduling imbalance (--static-partition).
-  bool static_assignment = false;
   /// Depth of the static partition split. Prefixes shorter than this form
   /// the serial "stem" (canonically first at every level); every surviving
   /// prefix of exactly this depth roots one subtree unit. Reports are
@@ -264,7 +252,6 @@ struct CheckOptions {
   /// inconclusive — like a budget cut — without touching sibling
   /// obligations. Not owned; may be null.
   const util::CancelSource* extra_cancel = nullptr;
-  lia::SolverOptions solver;
 };
 
 struct Counterexample {

@@ -342,7 +342,7 @@ bool Server::handle_submit(int fd, const protocols::ProtocolModel& pm) {
   // submission's budget semantics match a single `ctaver verify`.
   schema::SharedBudget budget(base.schema.max_schemas,
                               base.schema.time_budget_s,
-                              base.schema.max_rss_mb * (1LL << 20));
+                              base.schema.max_rss_mb);
   base.schema.budget = &budget;
 
   std::vector<verify::ObligationKey> keys;

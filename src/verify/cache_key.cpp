@@ -110,8 +110,9 @@ std::string parametric_cache_key(const std::string& system_fp,
   os << "ctaver-okey-v1 check\n"
      << "system " << system_fp << "\n"
      << canonical_spec(spec) << "budget max_schemas=" << opts.max_schemas
-     << "\nopts prune=" << opts.prune << " prefix_prune=" << opts.prefix_prune
-     << " minimize_ce=" << opts.minimize_ce << "\n";
+     // The prefix probe and CE minimization are always on; their fixed flags
+     // keep the key bytes of caches written when they were options.
+     << "\nopts prune=" << opts.prune << " prefix_prune=1 minimize_ce=1\n";
   return util::sha256_hex(os.str());
 }
 

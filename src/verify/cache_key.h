@@ -14,12 +14,12 @@
 //   * the budget class (max_schemas / max_states: a *complete* verdict never
 //     depends on the cap, but the caps gate which runs complete, and keying
 //     on them keeps a future cache of incomplete verdicts sound),
-//   * the byte-relevant CheckOptions (prune / prefix_prune / minimize_ce).
+//   * the one byte-relevant CheckOptions field, prune.
 //
 // Deliberately EXCLUDED, because the repo's determinism contract proves them
 // byte-neutral (tests + CI enforce it): jobs, workers, partition_depth,
-// static_assignment, incremental, core_skip, observability flags, and
-// replay_ce (replay is deterministic and recomputed on cache hits).
+// incremental, core_skip, observability flags, and replay_ce (replay is
+// deterministic and recomputed on cache hits).
 #pragma once
 
 #include <cstddef>

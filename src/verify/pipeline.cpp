@@ -471,7 +471,7 @@ struct ProtocolRun::Impl {
       : pm(pm_in),
         opts(opts_in),
         budget(opts_in.schema.max_schemas, opts_in.schema.time_budget_s,
-               opts_in.schema.max_rss_mb * (1LL << 20)) {
+               opts_in.schema.max_rss_mb) {
     bud = opts.schema.budget != nullptr ? opts.schema.budget : &budget;
   }
 

@@ -285,12 +285,11 @@ class ProtocolRun {
 /// sweep-instance) task to `pool` immediately, returning without waiting.
 /// Several protocols submitted to ONE shared pool keep all their tasks in
 /// flight together, so a cheap protocol's tail overlaps the next
-/// protocol's ramp-up — this is how `ctaver table2` and bench_table2
-/// parallelize across protocols. Each run keeps its own SharedBudget
-/// (armed when its first task starts, not at submission) and its own
-/// TaskGroup, so per-protocol reports are byte-identical to the serial
-/// run's. The pool must outlive the returned handle; opts.jobs is ignored
-/// (the pool's width rules).
+/// protocol's ramp-up — this is how `ctaver table2` parallelizes across
+/// protocols. Each run keeps its own SharedBudget (armed when its first
+/// task starts, not at submission) and its own TaskGroup, so per-protocol
+/// reports are byte-identical to the serial run's. The pool must outlive
+/// the returned handle; opts.jobs is ignored (the pool's width rules).
 ProtocolRun verify_protocol_async(const protocols::ProtocolModel& pm,
                                   const Options& opts,
                                   util::ThreadPool& pool);

@@ -2,7 +2,7 @@
 // SIGKILLed mid-verification via the fault injector's `abort` action, and
 // the parent resumes from the surviving cache + journal, asserting the
 // resumed report is byte-identical to an uninterrupted cold run — across
-// the (jobs x workers) matrix and both dispatch modes. Plus the daemon
+// the (jobs x workers) matrix. Plus the daemon
 // legs: a SIGKILLed ctaverd leaves a stale socket + pidfile that a
 // restarted daemon cleans up safely (journal replayed, resubmission hits
 // the cache), and a second daemon is refused while the first is live.
@@ -82,11 +82,10 @@ std::string render(const verify::ProtocolReport& r) {
   return os.str();
 }
 
-verify::Options matrix_options(int jobs, int workers, bool static_dispatch) {
+verify::Options matrix_options(int jobs, int workers) {
   verify::Options opts;
   opts.jobs = jobs;
   opts.schema.workers = workers;
-  opts.schema.static_assignment = static_dispatch;
   return opts;
 }
 
@@ -134,63 +133,60 @@ bool crash_verify_in_child(const std::string& cache_dir, int hit,
 // SIGKILL mid-run, then resume: the journal names the unfinished run, the
 // cache holds whatever had reached its durability point, and the resumed
 // report is byte-identical to a cold run — for every (jobs, workers) in
-// {1,2,8}^2 and both dispatch modes.
+// {1,2,8}^2.
 TEST(CrashResume, KilledVerifyResumesByteIdenticalAcrossMatrix) {
   protocols::ProtocolModel pm = builtin("NaiveVoting");
   const std::string cold = render(verify::verify_protocol(pm, {}));
   // Hit 12 of schema.encode lands mid-run for NaiveVoting (total hits are
   // deterministic and exceed it); jobs=1 additionally guarantees at least
   // one obligation finished first, exercising partial durability.
-  for (bool static_dispatch : {false, true}) {
-    for (int jobs : {1, 2, 8}) {
-      for (int workers : {1, 2, 8}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                     " workers=" + std::to_string(workers) +
-                     " static=" + std::to_string(static_dispatch));
-        TempDir dir;
-        verify::Options base = matrix_options(jobs, workers, static_dispatch);
-        ASSERT_TRUE(crash_verify_in_child(dir.str(), 12, base));
+  for (int jobs : {1, 2, 8}) {
+    for (int workers : {1, 2, 8}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                   " workers=" + std::to_string(workers));
+      TempDir dir;
+      verify::Options base = matrix_options(jobs, workers);
+      ASSERT_TRUE(crash_verify_in_child(dir.str(), 12, base));
 
-        // The kill left a torn or intact journal naming one unfinished
-        // run whose durable obligations all resolve in the cache.
-        svc::Journal journal(dir.str());
-        ASSERT_TRUE(journal.ok()) << journal.error();
-        std::vector<verify::ObligationKey> keys =
-            verify::obligation_cache_keys(pm, base);
-        std::string run = svc::journal_run_id(keys);
-        EXPECT_EQ(journal.unfinished_runs(), 1u);
-        EXPECT_TRUE(journal.run_started(run));
-        EXPECT_FALSE(journal.run_finished(run));
-        std::vector<std::string> durable = journal.run_obligations(run);
-        EXPECT_LT(durable.size(), keys.size());  // the kill was mid-run
-        {
-          svc::ProofCache probe(dir.str());
-          for (const std::string& key : durable) {
-            EXPECT_TRUE(probe.lookup(key).has_value()) << key;
-          }
+      // The kill left a torn or intact journal naming one unfinished
+      // run whose durable obligations all resolve in the cache.
+      svc::Journal journal(dir.str());
+      ASSERT_TRUE(journal.ok()) << journal.error();
+      std::vector<verify::ObligationKey> keys =
+          verify::obligation_cache_keys(pm, base);
+      std::string run = svc::journal_run_id(keys);
+      EXPECT_EQ(journal.unfinished_runs(), 1u);
+      EXPECT_TRUE(journal.run_started(run));
+      EXPECT_FALSE(journal.run_finished(run));
+      std::vector<std::string> durable = journal.run_obligations(run);
+      EXPECT_LT(durable.size(), keys.size());  // the kill was mid-run
+      {
+        svc::ProofCache probe(dir.str());
+        for (const std::string& key : durable) {
+          EXPECT_TRUE(probe.lookup(key).has_value()) << key;
         }
-
-        // Resume: re-proves only the non-durable obligations, and the
-        // report renders byte-identically to the uninterrupted cold run.
-        svc::ProofCache cache(dir.str());  // fresh handle: clean stats
-        verify::Options resume = base;
-        resume.cache = &cache;
-        resume.journal = &journal;
-        resume.journal_run = run;
-        journal.run_start(run, "verify", pm.name, keys.size());
-        verify::ProtocolReport r = verify::verify_protocol(pm, resume);
-        journal.run_end(run, 1);
-        EXPECT_EQ(render(r), cold);
-        // The journal may undercount by one: a kill between a proof's
-        // cache store and its journal append leaves the proof durable but
-        // unjournaled, and the cache probe (the resume authority) finds it.
-        EXPECT_GE(cache.stats().hits, durable.size());
-        EXPECT_EQ(cache.stats().hits + cache.stats().misses, keys.size());
-        EXPECT_LE(cache.stats().misses, keys.size() - durable.size());
-        svc::Journal after(dir.str());
-        EXPECT_TRUE(after.run_finished(run));
-        EXPECT_EQ(after.unfinished_runs(), 0u);
       }
+
+      // Resume: re-proves only the non-durable obligations, and the
+      // report renders byte-identically to the uninterrupted cold run.
+      svc::ProofCache cache(dir.str());  // fresh handle: clean stats
+      verify::Options resume = base;
+      resume.cache = &cache;
+      resume.journal = &journal;
+      resume.journal_run = run;
+      journal.run_start(run, "verify", pm.name, keys.size());
+      verify::ProtocolReport r = verify::verify_protocol(pm, resume);
+      journal.run_end(run, 1);
+      EXPECT_EQ(render(r), cold);
+      // The journal may undercount by one: a kill between a proof's
+      // cache store and its journal append leaves the proof durable but
+      // unjournaled, and the cache probe (the resume authority) finds it.
+      EXPECT_GE(cache.stats().hits, durable.size());
+      EXPECT_EQ(cache.stats().hits + cache.stats().misses, keys.size());
+      EXPECT_LE(cache.stats().misses, keys.size() - durable.size());
+      svc::Journal after(dir.str());
+      EXPECT_TRUE(after.run_finished(run));
+      EXPECT_EQ(after.unfinished_runs(), 0u);
     }
   }
 }
@@ -201,7 +197,7 @@ TEST(CrashResume, KilledVerifyResumesByteIdenticalAcrossMatrix) {
 TEST(CrashResume, PartialDurabilitySurvivesTheKill) {
   protocols::ProtocolModel pm = builtin("NaiveVoting");
   TempDir dir;
-  verify::Options base = matrix_options(1, 1, false);
+  verify::Options base = matrix_options(1, 1);
   ASSERT_TRUE(crash_verify_in_child(dir.str(), 12, base));
   svc::Journal journal(dir.str());
   std::string run =

@@ -1,7 +1,7 @@
 // Fault containment tests: the deterministic fault injector itself, the
 // ERROR-obligation containment contract (one injected failure errors exactly
 // one obligation and leaves every sibling's report fields untouched, across
-// dispatch modes and the whole (jobs, workers) matrix), the resource
+// the whole (jobs, workers) matrix), the resource
 // watchdogs (--max-rss-mb, --obligation-timeout), and the SIGINT-style
 // interrupt path of SharedBudget.
 #include <gtest/gtest.h>
@@ -141,8 +141,7 @@ TEST_F(FaultInjection, InjectedFaultCarriesTheSite) {
 // the C1/C2' sweeps, so one run exercises mid-enumeration (schema.encode)
 // and mid-sweep (cs.expand) injection. The contract under test: exactly one
 // obligation reports the injected error, and every OTHER obligation's
-// report fields match the clean run's — at every (jobs, workers) width and
-// for both unit dispatchers.
+// report fields match the clean run's — at every (jobs, workers) width.
 
 void expect_field_equal(const Obligation& got, const Obligation& want) {
   EXPECT_EQ(got.name, want.name);
@@ -157,45 +156,39 @@ void expect_field_equal(const Obligation& got, const Obligation& want) {
 }
 
 void check_containment(const std::string& site, const ProtocolReport& clean) {
-  for (bool static_dispatch : {false, true}) {
-    for (int jobs : {1, 2, 8}) {
-      for (int workers : {1, 2, 8}) {
-        SCOPED_TRACE(site + " static=" + std::to_string(static_dispatch) +
-                     " jobs=" + std::to_string(jobs) +
-                     " workers=" + std::to_string(workers));
-        FaultInjector::instance().reset();
-        std::string err;
-        ASSERT_TRUE(
-            FaultInjector::instance().arm(site + ":1:throw", &err))
-            << err;
-        verify::Options opts = fast_options();
-        opts.jobs = jobs;
-        opts.schema.workers = workers;
-        opts.schema.static_assignment = static_dispatch;
-        ProtocolReport r =
-            verify::verify_protocol(builtin("CC85a"), opts);
+  for (int jobs : {1, 2, 8}) {
+    for (int workers : {1, 2, 8}) {
+      SCOPED_TRACE(site + " jobs=" + std::to_string(jobs) +
+                   " workers=" + std::to_string(workers));
+      FaultInjector::instance().reset();
+      std::string err;
+      ASSERT_TRUE(FaultInjector::instance().arm(site + ":1:throw", &err))
+          << err;
+      verify::Options opts = fast_options();
+      opts.jobs = jobs;
+      opts.schema.workers = workers;
+      ProtocolReport r = verify::verify_protocol(builtin("CC85a"), opts);
 
-        std::vector<const Obligation*> got = all_obligations(r);
-        std::vector<const Obligation*> want = all_obligations(clean);
-        ASSERT_EQ(got.size(), want.size());
-        int errored = 0;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          if (got[i]->error) {
-            ++errored;
-            EXPECT_EQ(got[i]->error->kind, "injected-fault");
-            EXPECT_EQ(got[i]->error->site, site);
-            EXPECT_EQ(got[i]->run_state, Obligation::RunState::kError);
-            EXPECT_FALSE(got[i]->holds);
-            EXPECT_FALSE(got[i]->complete);
-          } else {
-            // Unaffected sibling: field-identical to the clean run.
-            expect_field_equal(*got[i], *want[i]);
-          }
+      std::vector<const Obligation*> got = all_obligations(r);
+      std::vector<const Obligation*> want = all_obligations(clean);
+      ASSERT_EQ(got.size(), want.size());
+      int errored = 0;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (got[i]->error) {
+          ++errored;
+          EXPECT_EQ(got[i]->error->kind, "injected-fault");
+          EXPECT_EQ(got[i]->error->site, site);
+          EXPECT_EQ(got[i]->run_state, Obligation::RunState::kError);
+          EXPECT_FALSE(got[i]->holds);
+          EXPECT_FALSE(got[i]->complete);
+        } else {
+          // Unaffected sibling: field-identical to the clean run.
+          expect_field_equal(*got[i], *want[i]);
         }
-        // The count-th hit fires exactly once, so exactly one obligation
-        // absorbs the fault — no matter how many tasks race the site.
-        EXPECT_EQ(errored, 1);
       }
+      // The count-th hit fires exactly once, so exactly one obligation
+      // absorbs the fault — no matter how many tasks race the site.
+      EXPECT_EQ(errored, 1);
     }
   }
 }
@@ -288,8 +281,7 @@ TEST_F(FaultInjection, RssGuardTripsTheBudgetWithReasonMemory) {
   // Deterministic unit-level check: the guard is throttled to 1/256 of the
   // exhaustion polls, so with a 1 MiB cap (below any realistic RSS) the
   // 256th poll must trip it.
-  schema::SharedBudget budget(1'000'000, 120.0,
-                              /*max_rss_bytes=*/1LL << 20);
+  schema::SharedBudget budget(1'000'000, 120.0, /*max_rss_mb=*/1);
   for (int i = 0; i < 255; ++i) {
     ASSERT_FALSE(budget.exhausted()) << "poll " << i;
   }
@@ -320,6 +312,24 @@ TEST_F(FaultInjection, RssWatchdogCutsTheRunToInconclusiveReasonMemory) {
     }
   }
   EXPECT_TRUE(saw_memory);
+}
+
+TEST_F(FaultInjection, HugeRssCapSaturatesInsteadOfWrapping) {
+  // 2^44 + 1 MiB is past the largest byte count a long long holds. The cap
+  // must saturate there, not wrap around to 1 MiB and cut the run: CC85a
+  // renders exactly as it does uncapped, with no cut reason anywhere.
+  verify::Options opts = fast_options();
+  opts.jobs = 1;
+  ProtocolReport plain = verify::verify_protocol(builtin("CC85a"), opts);
+  opts.schema.max_rss_mb = 17'592'186'044'417;
+  ProtocolReport capped = verify::verify_protocol(builtin("CC85a"), opts);
+  std::vector<const Obligation*> got = all_obligations(capped);
+  std::vector<const Obligation*> want = all_obligations(plain);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_field_equal(*got[i], *want[i]);
+    EXPECT_EQ(got[i]->cut_reason, "") << got[i]->name;
+  }
 }
 
 TEST_F(FaultInjection, ObligationTimeoutCutsWithoutTouchingTheBudget) {

@@ -112,16 +112,15 @@ TEST(BranchAndBound, KnapsackStyleEquality) {
 }
 
 TEST(BranchAndBound, RelaxationModeSkipsIntegrality) {
-  SolverOptions opts;
-  opts.relax_integrality = true;
-  Solver s(opts);
+  Solver s;
   Var x = s.new_var("x", 0, 100);
   Var y = s.new_var("y", 0, 100);
   // Rationally SAT (x = 4.5), integrally UNSAT.
   s.add(Constraint::eq(
       LinExpr::term(x, Rational(4)) + LinExpr::term(y, Rational(6)),
       LinExpr(Rational(9))));
-  EXPECT_EQ(s.check(), Result::kSat);  // relaxation answer
+  EXPECT_EQ(s.check_relaxed(), Result::kSat);  // relaxation answer
+  EXPECT_EQ(s.check(), Result::kUnsat);
 }
 
 TEST(BranchAndBound, DegenerateAndRedundantRows) {

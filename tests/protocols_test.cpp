@@ -1,6 +1,6 @@
 // Tests for the protocol benchmark models: structural validity, category
 // metadata, and selected fast verification verdicts (the full Table-II run
-// lives in bench/bench_table2).
+// is `ctaver table2`).
 #include <gtest/gtest.h>
 
 #include "frontend/registry.h"

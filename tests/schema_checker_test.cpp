@@ -309,58 +309,49 @@ TEST(CheckSpec, MidSubtreeBudgetCancellationNeverFlipsVerdict) {
   // that holds: no truncation point may fabricate a counterexample or a
   // premature "verified".
   ta::System rd = prepared(naive_voting(false));
-  for (bool static_mode : {false, true}) {
-    for (int workers : {1, 4}) {
-      for (long long cap : {1LL, 2LL, 3LL, 5LL, 8LL, 13LL, 21LL, 100LL}) {
-        CheckOptions opts;
-        opts.workers = workers;
-        opts.max_schemas = cap;
-        opts.static_assignment = static_mode;
-        CheckResult res = check_spec(rd, spec::inv1(rd, 0), opts);
-        EXPECT_FALSE(res.ce.has_value()) << "cap=" << cap;
-        if (res.holds) {
-          EXPECT_TRUE(res.complete) << "cap=" << cap;
-        } else {
-          EXPECT_FALSE(res.complete) << "cap=" << cap;
-        }
+  for (int workers : {1, 4}) {
+    for (long long cap : {1LL, 2LL, 3LL, 5LL, 8LL, 13LL, 21LL, 100LL}) {
+      CheckOptions opts;
+      opts.workers = workers;
+      opts.max_schemas = cap;
+      CheckResult res = check_spec(rd, spec::inv1(rd, 0), opts);
+      EXPECT_FALSE(res.ce.has_value()) << "cap=" << cap;
+      if (res.holds) {
+        EXPECT_TRUE(res.complete) << "cap=" << cap;
+      } else {
+        EXPECT_FALSE(res.complete) << "cap=" << cap;
       }
     }
   }
   // Asynchronous cancellation racing the enumeration workers: same
   // contract, now with the trip landing inside in-flight solver calls
-  // (which the solver's cancel poll turns into kUnknown, not a verdict).
-  // The race lands differently per dispatch mode — mid-claim (between a
-  // cursor fetch and the unit's first level) for the claim index,
-  // mid-pass for round-robin — so both modes and a couple of split
-  // depths take the same battering.
-  for (bool static_mode : {false, true}) {
-    for (int depth : {1, 2}) {
-      for (int delay_us : {0, 50, 200, 1000, 4000}) {
-        SharedBudget budget(1'000'000, 600.0);
-        CheckOptions opts;
-        opts.workers = 4;
-        opts.partition_depth = depth;
-        opts.static_assignment = static_mode;
-        opts.budget = &budget;
-        std::thread killer([&budget, delay_us] {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-          budget.cancel.cancel();
-        });
-        CheckResult res = check_spec(rd, spec::inv1(rd, 0), opts);
-        killer.join();
-        const std::string tag = std::string(static_mode ? "static" : "claim") +
-                                " depth=" + std::to_string(depth) +
-                                " delay=" + std::to_string(delay_us);
-        EXPECT_FALSE(res.ce.has_value()) << tag;
-        if (res.holds) {
-          EXPECT_TRUE(res.complete) << tag;
-        }
-        // Cancellation may strand units unclaimed, but whatever was
-        // attributed must stay internally consistent.
-        for (const CheckResult::WorkerStat& w : res.per_worker) {
-          EXPECT_GE(w.units, 0) << tag;
-          EXPECT_GE(w.pivots, 0) << tag;
-        }
+  // (which the solver's cancel poll turns into kUnknown, not a verdict),
+  // or mid-claim (between a cursor fetch and the unit's first level). A
+  // couple of split depths take the same battering.
+  for (int depth : {1, 2}) {
+    for (int delay_us : {0, 50, 200, 1000, 4000}) {
+      SharedBudget budget(1'000'000, 600.0);
+      CheckOptions opts;
+      opts.workers = 4;
+      opts.partition_depth = depth;
+      opts.budget = &budget;
+      std::thread killer([&budget, delay_us] {
+        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+        budget.cancel.cancel();
+      });
+      CheckResult res = check_spec(rd, spec::inv1(rd, 0), opts);
+      killer.join();
+      const std::string tag = "depth=" + std::to_string(depth) +
+                              " delay=" + std::to_string(delay_us);
+      EXPECT_FALSE(res.ce.has_value()) << tag;
+      if (res.holds) {
+        EXPECT_TRUE(res.complete) << tag;
+      }
+      // Cancellation may strand units unclaimed, but whatever was
+      // attributed must stay internally consistent.
+      for (const CheckResult::WorkerStat& w : res.per_worker) {
+        EXPECT_GE(w.units, 0) << tag;
+        EXPECT_GE(w.pivots, 0) << tag;
       }
     }
   }
@@ -451,16 +442,15 @@ TEST(CheckSpec, WorkersAndPoolProduceIdenticalResults) {
   EXPECT_EQ(res.ce->text, ref.ce->text);
 }
 
-TEST(CheckSpec, ClaimIndexMatchesStaticAssignment) {
-  // The dispatch-mode identity half of the determinism contract: the claim
-  // index (dynamic placement) and the static round-robin reference produce
-  // the same CheckResult bytes — nschemas, nqueries, npivots, CE text — at
-  // every workers value, for every partition_depth, on both a violated and
-  // a holding spec. Placement only moves units between workers; per-unit
-  // work and the canonical merge are placement-independent. The reference
-  // is workers=1 at the same depth: the split depth moves warm-solver
-  // replay boundaries, so npivots is per-depth deterministic, not
-  // depth-invariant.
+TEST(CheckSpec, ClaimIndexMatchesOneWorkerAtEveryDepth) {
+  // The placement half of the determinism contract: the claim index
+  // (dynamic placement) produces the same CheckResult bytes — nschemas,
+  // nqueries, npivots, CE text — at every workers value, for every
+  // partition_depth, on both a violated and a holding spec. Placement only
+  // moves units between workers; per-unit work and the canonical merge are
+  // placement-independent. The reference is workers=1 at the same depth:
+  // the split depth moves warm-solver replay boundaries, so npivots is
+  // per-depth deterministic, not depth-invariant.
   for (bool byzantine : {true, false}) {
     ta::System rd = prepared(naive_voting(byzantine));
     for (int depth : {1, 2, 3}) {
@@ -469,29 +459,22 @@ TEST(CheckSpec, ClaimIndexMatchesStaticAssignment) {
       base.partition_depth = depth;
       CheckResult ref = check_spec(rd, spec::inv1(rd, 0), base);
       for (int workers : {2, 3, 8}) {
-        CheckResult by_mode[2];
-        for (bool static_mode : {false, true}) {
-          CheckOptions opts;
-          opts.workers = workers;
-          opts.partition_depth = depth;
-          opts.static_assignment = static_mode;
-          by_mode[static_mode ? 1 : 0] =
-              check_spec(rd, spec::inv1(rd, 0), opts);
-        }
+        CheckOptions opts;
+        opts.workers = workers;
+        opts.partition_depth = depth;
+        CheckResult res = check_spec(rd, spec::inv1(rd, 0), opts);
         const std::string tag = std::string(byzantine ? "byz" : "clean") +
                                 " workers=" + std::to_string(workers) +
                                 " depth=" + std::to_string(depth);
-        for (const CheckResult& res : by_mode) {
-          EXPECT_EQ(res.holds, ref.holds) << tag;
-          EXPECT_EQ(res.complete, ref.complete) << tag;
-          EXPECT_EQ(res.nschemas, ref.nschemas) << tag;
-          EXPECT_EQ(res.nqueries, ref.nqueries) << tag;
-          EXPECT_EQ(res.npivots, ref.npivots) << tag;
-          ASSERT_EQ(res.ce.has_value(), ref.ce.has_value()) << tag;
-          if (ref.ce) {
-            EXPECT_EQ(res.ce->text, ref.ce->text) << tag;
-            EXPECT_EQ(res.ce->milestones, ref.ce->milestones) << tag;
-          }
+        EXPECT_EQ(res.holds, ref.holds) << tag;
+        EXPECT_EQ(res.complete, ref.complete) << tag;
+        EXPECT_EQ(res.nschemas, ref.nschemas) << tag;
+        EXPECT_EQ(res.nqueries, ref.nqueries) << tag;
+        EXPECT_EQ(res.npivots, ref.npivots) << tag;
+        ASSERT_EQ(res.ce.has_value(), ref.ce.has_value()) << tag;
+        if (ref.ce) {
+          EXPECT_EQ(res.ce->text, ref.ce->text) << tag;
+          EXPECT_EQ(res.ce->milestones, ref.ce->milestones) << tag;
         }
       }
     }
@@ -515,10 +498,10 @@ double worker_imbalance(const std::vector<CheckResult::WorkerStat>& pw,
 /// rule and gating its own zero-update S->T_g decision rule. Independence
 /// pruning keeps only index-ascending milestone orders, so the depth-1
 /// subtree rooted at guard g holds the 2^(G-1-g) orders over the later
-/// guards: unit sizes halve along the canonical sibling order. Static
-/// round-robin at 2 workers then hands worker 0 the units sized
-/// 2^(G-1), 2^(G-3), ... — two thirds of all work, deterministically —
-/// which is the shape the claim index exists to re-balance. Z is
+/// guards: unit sizes halve along the canonical sibling order. A fixed
+/// round-robin at 2 workers would hand worker 0 the units sized
+/// 2^(G-1), 2^(G-3), ... — two thirds of all work — which is the shape the
+/// claim index exists to re-balance. Z is
 /// unreachable, so the two-cut spec premise {T0} -> G !{Z} holds and the
 /// enumeration always runs dry (full merge, full per-worker attribution).
 ta::System skewed_fan(int nguards) {
@@ -554,30 +537,8 @@ TEST(CheckSpec, ClaimIndexBalancesSkewedUnits) {
   CheckResult ref = check_spec(rd, s, base);
   ASSERT_TRUE(ref.holds);
   ASSERT_TRUE(ref.complete);
-
-  // Static round-robin: the assignment is fixed and per-unit work is
-  // placement-independent, so the skew is structural — the same per-worker
-  // pivot split every run, no scheduler can fix it. Worker 0 owns the
-  // units sized 32, 8, 2 by order count (about two thirds of the work;
-  // warm-solver replay compresses that to ~1.19 in pivots).
-  CheckOptions st = base;
-  st.workers = 2;
-  st.static_assignment = true;
-  CheckResult stat = check_spec(rd, s, st);
-  EXPECT_EQ(stat.npivots, ref.npivots);
-  EXPECT_EQ(stat.nschemas, ref.nschemas);
-  ASSERT_EQ(stat.per_worker.size(), 2u);
-  EXPECT_EQ(stat.per_worker[0].units, 3);  // round-robin: 3 units each
-  EXPECT_EQ(stat.per_worker[1].units, 3);
-  const double static_imb =
-      worker_imbalance(stat.per_worker, &CheckResult::WorkerStat::pivots);
-  EXPECT_GT(static_imb, 1.15) << "skew construction lost its skew";
-  CheckResult stat2 = check_spec(rd, s, st);
-  ASSERT_EQ(stat2.per_worker.size(), 2u);
-  for (int w = 0; w < 2; ++w) {
-    EXPECT_EQ(stat2.per_worker[w].units, stat.per_worker[w].units);
-    EXPECT_EQ(stat2.per_worker[w].pivots, stat.per_worker[w].pivots);
-  }
+  ASSERT_EQ(ref.per_worker.size(), 1u);
+  EXPECT_EQ(ref.per_worker[0].units, 6);
 
   // Claim index: a worker holds at most one unfinished unit, so the worker
   // stuck on the giant first unit stops accumulating siblings and the
@@ -603,7 +564,7 @@ TEST(CheckSpec, ClaimIndexBalancesSkewedUnits) {
     // attributed pivots add up to the whole partitioned tree.
     EXPECT_EQ(res.per_worker[0].units + res.per_worker[1].units, 6);
     EXPECT_EQ(res.per_worker[0].pivots + res.per_worker[1].pivots,
-              stat.per_worker[0].pivots + stat.per_worker[1].pivots);
+              ref.per_worker[0].pivots);
     const double imb =
         worker_imbalance(res.per_worker, &CheckResult::WorkerStat::pivots);
     best = std::min(best, imb);

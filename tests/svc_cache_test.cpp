@@ -200,12 +200,11 @@ TEST(CacheKey, BudgetClassAndOptionsAreKeyed) {
       EXPECT_EQ(ka[i].key, kc[i].key);  // ...but not a sweep-key input
     }
   }
-  // Byte-neutral knobs (jobs, workers, dispatch mode) must NOT move keys:
-  // reports are identical across them, so their verdicts are interchangeable.
+  // Byte-neutral knobs (jobs, workers) must NOT move keys: reports are
+  // identical across them, so their verdicts are interchangeable.
   verify::Options d;
   d.jobs = 8;
   d.schema.workers = 8;
-  d.schema.static_assignment = true;
   std::vector<verify::ObligationKey> kd = verify::obligation_cache_keys(pm, d);
   for (std::size_t i = 0; i < ka.size(); ++i) {
     EXPECT_EQ(ka[i].key, kd[i].key) << ka[i].name;
