@@ -4,7 +4,7 @@
 //   ctaver parse specs/mmr14.cta      # front-end only: summary or diagnostics
 //   ctaver verify MMR14               # full pipeline on a built-in model
 //   ctaver verify specs/mmr14.cta     # ... or on a .cta spec file
-//   ctaver table2                     # the paper's Table-II benchmark run
+//   ctaver table2                     # the paper's Table-II rows, timed
 //   ctaver check                      # regression-check declared verdicts
 //
 // Protocol arguments are resolved through frontend::ProtocolRegistry, so
@@ -47,7 +47,7 @@ namespace {
 
 using ctaver::frontend::ParseError;
 using ctaver::frontend::ProtocolRegistry;
-using ctaver::protocols::Category;
+using ctaver::protocols::category_str;
 using ctaver::protocols::ProtocolModel;
 
 int usage(std::ostream& os, int code) {
@@ -57,8 +57,10 @@ int usage(std::ostream& os, int code) {
         "  list               list registered protocols (and their declared\n"
         "                     expect verdicts)\n"
         "  parse SPEC...      run the front-end only; print a model summary\n"
-        "  verify SPEC...     full pipeline; obligations plus Table-II row\n"
-        "  table2 [SPEC...]   Table-II rows (default: the eight benchmarks)\n"
+        "  verify SPEC...     full pipeline; obligations plus Table-II row,\n"
+        "                     no wall-clock (byte-identical at any width)\n"
+        "  table2 [SPEC...]   timed Table-II rows (default: the eight\n"
+        "                     benchmarks)\n"
         "  check [SPEC...]    regression-check every declared `expect`\n"
         "                     verdict (default: all registered protocols);\n"
         "                     schema counterexamples are auto-replayed and\n"
@@ -92,7 +94,6 @@ int usage(std::ostream& os, int code) {
         "  --sweep a,b,...    override sweep instances (repeatable)\n"
         "  --replay-ce        verify: replay every schema counterexample\n"
         "                     through the concretization engine (src/replay)\n"
-        "  --quiet            verify: print only the Table-II rows\n"
         "  --only-obligations a,b,...\n"
         "                     verify: discharge only the named obligations\n"
         "                     (unknown names are a positioned error, exit 2)\n"
@@ -171,7 +172,6 @@ struct Args {
   std::vector<std::string> protocols;
   std::string specs_dir;
   bool no_sweeps = false;
-  bool quiet = false;
   bool replay_ce = false;
   std::size_t max_states = 0;  // 0: keep the pipeline default
   long long max_schemas = 0;   // 0: keep the pipeline default
@@ -249,8 +249,6 @@ bool parse_args(int argc, char** argv, Args& args) {
     };
     if (a == "--no-sweeps") {
       args.no_sweeps = true;
-    } else if (a == "--quiet") {
-      args.quiet = true;
     } else if (a == "--replay-ce") {
       args.replay_ce = true;
     } else if (a == "--progress") {
@@ -321,10 +319,6 @@ bool parse_args(int argc, char** argv, Args& args) {
   return true;
 }
 
-const char* category_str(Category c) {
-  return c == Category::kA ? "(A)" : c == Category::kB ? "(B)" : "(C)";
-}
-
 void print_summary(const ProtocolModel& pm, const std::string& origin) {
   const ctaver::ta::System& sys = pm.system;
   std::cout << pm.name << " " << category_str(pm.category) << "  [" << origin
@@ -344,38 +338,6 @@ void print_summary(const ProtocolModel& pm, const std::string& origin) {
             << "\n  shared vars = " << sys.shared_vars().size()
             << ", coin vars = " << sys.coin_vars().size()
             << "\n  sweep instances = " << pm.sweep_params.size() << "\n";
-}
-
-/// One-line rendering of a contained ObligationError for the human output
-/// (the obligation lines and `ctaver check`).
-std::string error_brief(const ctaver::verify::ObligationError& e) {
-  std::string out = "kind=" + e.kind;
-  if (!e.site.empty()) out += " site=" + e.site;
-  out += " what=" + e.what;
-  return out;
-}
-
-void print_property(const std::string& title,
-                    const ctaver::verify::PropertyResult& pr) {
-  std::cout << "  " << title << ": "
-            << (pr.holds()                ? "holds"
-                : pr.has_counterexample() ? "COUNTEREXAMPLE"
-                                          : "inconclusive")
-            << "\n";
-  for (const ctaver::verify::Obligation& o : pr.obligations) {
-    // The line itself comes from verify::obligation_line, the single
-    // renderer shared with the daemon's event stream — a streamed verdict
-    // is byte-identical to this output.
-    std::cout << "    " << ctaver::verify::obligation_line(o) << "\n";
-    if (o.error) {
-      std::cout << "      contained error: " << error_brief(*o.error) << "\n";
-    }
-    if (!o.holds) {
-      if (!o.ce.empty()) std::cout << "      " << o.ce << "\n";
-      if (!o.detail.empty()) std::cout << "      " << o.detail << "\n";
-    }
-    if (!o.replay.empty()) std::cout << "      replay " << o.replay << "\n";
-  }
 }
 
 /// Compact `expect` surface of a protocol for `ctaver list`: the violated
@@ -512,8 +474,10 @@ ProtocolModel resolve_with_sweeps(const ProtocolRegistry& registry,
   return pm;
 }
 
+/// `ctaver verify` prints each verify::report_text; `ctaver table2`
+/// (`timed_rows`) prints only the Table-II rows, with time columns.
 int cmd_verify(const ProtocolRegistry& registry, const Args& args,
-               bool rows_only, const std::vector<std::string>& protocols) {
+               bool timed_rows, const std::vector<std::string>& protocols) {
   if (protocols.empty()) return usage(std::cerr, 2);
   ctaver::verify::Options opts = base_options(args);
   opts.replay_ce = args.replay_ce;
@@ -593,19 +557,11 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
 
   bool all_verified = true;
   bool any_error = false;
-  std::cout << ctaver::verify::table2_header() << "\n";
+  std::cout << ctaver::verify::table2_header(timed_rows) << "\n";
   for (const auto& slot : maybe_reports) {
     const ctaver::verify::ProtocolReport& report = *slot;
-    if (!rows_only) {
-      std::cout << "== " << report.protocol << " "
-                << category_str(report.category)
-                << " |L|=" << report.n_locations
-                << " |R|=" << report.n_rules << "\n";
-      print_property("Agreement", report.agreement);
-      print_property("Validity", report.validity);
-      print_property("Almost-sure termination", report.termination);
-    }
-    std::cout << ctaver::verify::table2_row(report) << "\n";
+    std::cout << (timed_rows ? ctaver::verify::table2_row(report) + "\n"
+                             : ctaver::verify::report_text(report));
     all_verified = all_verified && report.agreement.holds() &&
                    report.validity.holds() && report.termination.holds();
     any_error = any_error || report.agreement.has_error() ||
@@ -687,7 +643,8 @@ int cmd_check(const ProtocolRegistry& registry, const Args& args) {
       if (o->error) {
         // Contained internal failure: neither confirmed nor failed — the
         // obligation was not properly discharged. Drives exit code 3.
-        std::cout << "ERROR (contained: " << error_brief(*o->error) << ")\n";
+        std::cout << "ERROR (contained: "
+                  << ctaver::verify::error_brief(*o->error) << ")\n";
         ++errored;
         continue;
       }
@@ -890,7 +847,7 @@ int dispatch(const Args& args) {
     if (args.command == "list") return cmd_list(registry);
     if (args.command == "parse") return cmd_parse(registry, args);
     if (args.command == "verify") {
-      return cmd_verify(registry, args, args.quiet, args.protocols);
+      return cmd_verify(registry, args, /*timed_rows=*/false, args.protocols);
     }
     if (args.command == "check") return cmd_check(registry, args);
     if (args.command == "hash") return cmd_hash(registry, args);
@@ -921,7 +878,7 @@ int dispatch(const Args& args) {
         protocols = {"Rabin83", "CC85a", "CC85b",    "FMR05",
                      "KS16",    "MMR14", "Miller18", "ABY22"};
       }
-      return cmd_verify(registry, args, /*rows_only=*/true, protocols);
+      return cmd_verify(registry, args, /*timed_rows=*/true, protocols);
     }
     std::cerr << "ctaver: unknown command '" << args.command << "'\n";
     return usage(std::cerr, 2);

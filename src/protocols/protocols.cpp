@@ -9,6 +9,10 @@ ta::System ProtocolModel::refined() const {
   return ta::refine_binding(system, mbot_rule, m0, m1);
 }
 
+const char* category_str(Category c) {
+  return c == Category::kA ? "(A)" : c == Category::kB ? "(B)" : "(C)";
+}
+
 std::vector<std::string> obligation_names(Category c) {
   // Must mirror the report order of verify::verify_protocol (agreement,
   // validity, termination obligations, each in planning order);

@@ -30,6 +30,9 @@ namespace ctaver::protocols {
 
 enum class Category { kA, kB, kC };
 
+/// "(A)", "(B)" or "(C)", as reports and `ctaver list` print it.
+const char* category_str(Category c);
+
 /// One spec-declared expected verdict for a proof obligation (`expect CB2
 /// violated;` in a .cta file). `obligation` is the canonical pipeline name
 /// — one of obligation_names(category).

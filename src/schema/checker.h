@@ -34,6 +34,7 @@
 #include "ta/model.h"
 #include "util/cancel.h"
 #include "util/rss.h"
+#include "util/stopwatch.h"
 
 namespace ctaver::util {
 class ThreadPool;
@@ -58,8 +59,7 @@ class SharedBudget final : public util::CancelSource {
  public:
   /// Why the budget first tripped: the schema cap, the wall-clock deadline,
   /// the RSS watchdog, a SIGINT, or an external cancel() (kNone). First
-  /// cause wins; purely diagnostic (rendered into the human obligation
-  /// lines, never into the byte-identity report fields).
+  /// cause wins; rendered as the `reason=` of each cut obligation's line.
   enum class CutReason : int {
     kNone = 0,
     kSchemas,
@@ -69,11 +69,12 @@ class SharedBudget final : public util::CancelSource {
   };
 
   /// `max_rss_mb` is the RSS watchdog cap in MiB (0 = off). A cap past
-  /// LLONG_MAX bytes saturates there instead of wrapping.
+  /// LLONG_MAX bytes saturates there instead of wrapping, and so does a
+  /// time budget past the steady clock's range.
   SharedBudget(long long max_schemas, double time_budget_s,
                long long max_rss_mb = 0)
       : max_(max_schemas),
-        time_budget_s_(time_budget_s),
+        time_budget_(util::saturating_duration<Clock::duration>(time_budget_s)),
         max_rss_bytes_(max_rss_mb > (LLONG_MAX >> 20) ? LLONG_MAX
                                                         : max_rss_mb << 20) {}
 
@@ -110,22 +111,16 @@ class SharedBudget final : public util::CancelSource {
       cancel.cancel();
       return true;
     }
-    std::call_once(started_, [this] {
-      // A non-positive budget is exhausted from the start (deterministically
-      // so, which the zero-budget test regimes rely on).
-      deadline_ = time_budget_s_ <= 0
-                      ? Clock::time_point::min()
-                      : Clock::now() +
-                            std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double>(
-                                    time_budget_s_));
-    });
+    std::call_once(started_, [this] { start_ = Clock::now(); });
     if (used_.load(std::memory_order_relaxed) > max_) {
       note_reason(CutReason::kSchemas);
       cancel.cancel();
       return true;
     }
-    if (Clock::now() > deadline_) {
+    // A zero-tick (or non-positive) budget is spent from the start, which
+    // the zero-budget test regimes rely on.
+    if (time_budget_ == Clock::duration::zero() ||
+        Clock::now() - start_ > time_budget_) {
       note_reason(CutReason::kTime);
       cancel.cancel();
       return true;
@@ -178,12 +173,12 @@ class SharedBudget final : public util::CancelSource {
 
   std::atomic<long long> used_{0};
   long long max_;
-  double time_budget_s_;
+  Clock::duration time_budget_;
   long long max_rss_bytes_;
   mutable std::atomic<int> reason_{0};
   mutable std::atomic<std::uint64_t> rss_poll_{0};
   mutable std::once_flag started_;
-  mutable Clock::time_point deadline_{};
+  mutable Clock::time_point start_{};
 };
 
 struct CheckOptions {

@@ -18,6 +18,7 @@
 
 #include "obs/metrics.h"
 #include "svc/json.h"
+#include "util/stopwatch.h"
 
 namespace ctaver::svc {
 
@@ -26,9 +27,12 @@ namespace {
 /// Polls fd for `events` under a deadline. >0 ready, 0 timed out, <0 error.
 int poll_fd(int fd, short events, double timeout_s) {
   pollfd pfd{fd, events, 0};
+  const int timeout_ms =
+      timeout_s > 0 ? util::saturating_duration<util::PollMillis>(timeout_s)
+                          .count()
+                    : -1;
   for (;;) {
-    int rc = ::poll(&pfd, 1,
-                    timeout_s > 0 ? static_cast<int>(timeout_s * 1000) : -1);
+    int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc < 0 && errno == EINTR) continue;
     return rc;
   }

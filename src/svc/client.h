@@ -14,12 +14,13 @@
 //
 // submit_specs prints, per submission, a "== <protocol>" header, each
 // obligation's verdict line indented four spaces (byte-identical to the
-// `ctaver verify` line for that obligation), and the Table-II row — and
-// returns the CLI exit taxonomy: 3 if any submission carried a contained
-// ERROR, else 2 on usage-class failures (unknown spec, parse error,
-// connection loss after the retries ran out), else 1 on any
-// refuted/inconclusive obligation, else 0. A retry restarts its submission's
-// output from the header (the partial stream before the failure is void).
+// `ctaver verify` line for that obligation), and the untimed Table-II row
+// that ends `ctaver verify`'s report — and returns the CLI exit taxonomy:
+// 3 if any submission carried a contained ERROR, else 2 on usage-class
+// failures (unknown spec, parse error, connection loss after the retries
+// ran out), else 1 on any refuted/inconclusive obligation, else 0. A retry
+// restarts its submission's output from the header (the partial stream
+// before the failure is void).
 #pragma once
 
 #include <iosfwd>

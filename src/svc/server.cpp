@@ -19,6 +19,7 @@
 #include "obs/trace.h"
 #include "svc/json.h"
 #include "util/cancel.h"
+#include "util/stopwatch.h"
 
 namespace ctaver::svc {
 
@@ -210,8 +211,8 @@ bool Server::send_line(int fd, const std::string& line) {
   while (off < out.size()) {
     if (deadline) {
       pollfd pfd{fd, POLLOUT, 0};
-      int rc = ::poll(&pfd, 1,
-                      static_cast<int>(opts_.write_timeout_s * 1000));
+      int rc = ::poll(&pfd, 1, util::saturating_duration<util::PollMillis>(
+                                   opts_.write_timeout_s).count());
       if (rc == 0) return false;  // client stopped reading
       if (rc < 0) {
         if (errno == EINTR) continue;
@@ -267,7 +268,8 @@ void Server::serve_connection(int fd) {
     if (discarding) buf.clear();  // still inside the oversized frame
     if (opts_.read_timeout_s > 0) {
       pollfd pfd{fd, POLLIN, 0};
-      int rc = ::poll(&pfd, 1, static_cast<int>(opts_.read_timeout_s * 1000));
+      int rc = ::poll(&pfd, 1, util::saturating_duration<util::PollMillis>(
+                                   opts_.read_timeout_s).count());
       if (rc == 0) {
         send_error(fd, "read timeout; closing connection");
         break;
@@ -433,7 +435,8 @@ bool Server::handle_submit(int fd, const protocols::ProtocolModel& pm) {
   std::ostringstream done;
   done << "{\"event\":\"done\",\"protocol\":\"" << obs::json_escape(pm.name)
        << "\",\"exit\":" << exit_code << ",\"row\":\""
-       << obs::json_escape(verify::table2_row(agg)) << "\"}";
+       << obs::json_escape(verify::table2_row(agg, /*timed=*/false))
+       << "\"}";
   return send_line(fd, done.str());
 }
 

@@ -19,8 +19,11 @@
 // across all connections; verdict events stream back progressively —
 // obligation k's event goes out as soon as runs 1..k have finished, while
 // later obligations are still proving. Each event's "line" is the exact
-// `ctaver verify` obligation line (verify::obligation_line), and "exit"
-// follows the CLI taxonomy (0 verified / 1 shortfall / 3 contained error).
+// `ctaver verify` obligation line (verify::obligation_line), "row" is the
+// Table-II row without its time columns (the last line of
+// verify::report_text), and "exit" follows the CLI taxonomy (0 verified /
+// 1 shortfall / 3 contained error). Neither carries wall-clock, so a
+// cache-warm resubmission streams the same bytes as the cold one.
 // Contained ERROR verdicts stream like any other — one crashing proof
 // never takes down the daemon. All submissions share the server's
 // content-addressed ProofCache; events carry "cached":true when the

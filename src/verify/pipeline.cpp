@@ -177,14 +177,12 @@ class TaskDeadline final : public util::CancelSource {
  public:
   TaskDeadline(const schema::SharedBudget& budget, double timeout_s)
       : budget_(&budget),
-        deadline_(
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(timeout_s))) {}
+        start_(Clock::now()),
+        timeout_(util::saturating_duration<Clock::duration>(timeout_s)) {}
 
   [[nodiscard]] bool cancelled() const override {
     if (tripped_.load(std::memory_order_relaxed)) return true;
-    if (std::chrono::steady_clock::now() > deadline_) {
+    if (Clock::now() - start_ > timeout_) {
       tripped_.store(true, std::memory_order_relaxed);
       return true;
     }
@@ -196,8 +194,10 @@ class TaskDeadline final : public util::CancelSource {
   }
 
  private:
+  using Clock = std::chrono::steady_clock;
   const schema::SharedBudget* budget_;
-  std::chrono::steady_clock::time_point deadline_;
+  Clock::time_point start_;
+  Clock::duration timeout_;
   mutable std::atomic<bool> tripped_{false};
 };
 
@@ -229,9 +229,8 @@ ObligationError classify_error(const std::exception_ptr& ep) {
 //
 // Planning pre-creates all Obligation slots in the serial (canonical) order;
 // tasks only ever write into their own slot, and the merge phase reads the
-// slots back in that order — so the rendered report is byte-identical
-// (seconds aside) no matter how many workers ran the tasks or in which
-// order they completed.
+// slots back in that order — so report_text is byte-identical no matter
+// how many workers ran the tasks or in which order they completed.
 // ---------------------------------------------------------------------------
 
 struct SweepInstanceResult {
@@ -995,6 +994,39 @@ std::string obligation_line(const Obligation& o) {
   return out;
 }
 
+std::string error_brief(const ObligationError& e) {
+  std::string out = "kind=" + e.kind;
+  if (!e.site.empty()) out += " site=" + e.site;
+  return out + " what=" + e.what;
+}
+
+std::string report_text(const ProtocolReport& r) {
+  std::string out = "== " + r.protocol + " " +
+                    protocols::category_str(r.category) +
+                    " |L|=" + std::to_string(r.n_locations) +
+                    " |R|=" + std::to_string(r.n_rules) + "\n";
+  auto property = [&out](const char* title, const PropertyResult& pr) {
+    out += std::string("  ") + title + ": " +
+           (pr.holds()                ? "holds"
+            : pr.has_counterexample() ? "COUNTEREXAMPLE"
+                                      : "inconclusive") +
+           "\n";
+    for (const Obligation& o : pr.obligations) {
+      out += "    " + obligation_line(o) + "\n";
+      if (o.error) {
+        out += "      contained error: " + error_brief(*o.error) + "\n";
+      }
+      if (!o.ce.empty()) out += "      " + o.ce + "\n";
+      if (!o.detail.empty()) out += "      " + o.detail + "\n";
+      if (!o.replay.empty()) out += "      replay " + o.replay + "\n";
+    }
+  };
+  property("Agreement", r.agreement);
+  property("Validity", r.validity);
+  property("Almost-sure termination", r.termination);
+  return out + table2_row(r, /*timed=*/false) + "\n";
+}
+
 std::vector<schema::CheckResult::WorkerStat> worker_stats(
     const ProtocolReport& report) {
   std::vector<schema::CheckResult::WorkerStat> slots;
@@ -1013,36 +1045,38 @@ std::vector<schema::CheckResult::WorkerStat> worker_stats(
   return slots;
 }
 
-std::string table2_header() {
+std::string table2_header(bool timed) {
   std::ostringstream os;
   os << util::pad_right("Name", 12) << util::pad_right("cat", 5)
-     << util::pad_left("|L|", 5) << util::pad_left("|R|", 5) << "  "
-     << util::pad_left("agr-nschemas", 13) << util::pad_left("agr-time", 10)
-     << util::pad_left("val-nschemas", 14) << util::pad_left("val-time", 10)
-     << util::pad_left("ast-nschemas", 14) << util::pad_left("ast-time", 10)
-     << "  verdict";
+     << util::pad_left("|L|", 5) << util::pad_left("|R|", 5) << "  ";
+  std::size_t width = 13;
+  for (const char* prop : {"agr", "val", "ast"}) {
+    os << util::pad_left(std::string(prop) + "-nschemas", width);
+    if (timed) os << util::pad_left(std::string(prop) + "-time", 10);
+    width = 14;
+  }
+  os << "  verdict";
   return os.str();
 }
 
-std::string table2_row(const ProtocolReport& r) {
-  auto fmt_time = [](double s) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", s);
-    return std::string(buf);
-  };
-  const char* cat = r.category == Category::kA   ? "(A)"
-                    : r.category == Category::kB ? "(B)"
-                                                 : "(C)";
+std::string table2_row(const ProtocolReport& r, bool timed) {
   std::ostringstream os;
-  os << util::pad_right(r.protocol, 12) << util::pad_right(cat, 5)
+  os << util::pad_right(r.protocol, 12)
+     << util::pad_right(protocols::category_str(r.category), 5)
      << util::pad_left(std::to_string(r.n_locations), 5)
-     << util::pad_left(std::to_string(r.n_rules), 5) << "  "
-     << util::pad_left(std::to_string(r.agreement.nschemas()), 13)
-     << util::pad_left(fmt_time(r.agreement.seconds()), 10)
-     << util::pad_left(std::to_string(r.validity.nschemas()), 14)
-     << util::pad_left(fmt_time(r.validity.seconds()), 10)
-     << util::pad_left(std::to_string(r.termination.nschemas()), 14)
-     << util::pad_left(fmt_time(r.termination.seconds()), 10) << "  ";
+     << util::pad_left(std::to_string(r.n_rules), 5) << "  ";
+  std::size_t width = 13;
+  for (const PropertyResult* prop :
+       {&r.agreement, &r.validity, &r.termination}) {
+    os << util::pad_left(std::to_string(prop->nschemas()), width);
+    if (timed) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.2f", prop->seconds());
+      os << util::pad_left(buf, 10);
+    }
+    width = 14;
+  }
+  os << "  ";
   int errors = 0;
   for (const PropertyResult* prop :
        {&r.agreement, &r.validity, &r.termination}) {

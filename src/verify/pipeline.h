@@ -60,9 +60,9 @@ struct Options {
   std::size_t max_states = 2'000'000;
   /// Obligation-scheduler width: every (obligation × sweep-instance) is an
   /// independent task on a work-stealing pool of this many workers
-  /// (0 = hardware concurrency, 1 = run inline serially). Reports are
-  /// byte-identical for every value of `jobs` (seconds aside) as long as
-  /// the run stays within budget: results are merged back in canonical
+  /// (0 = hardware concurrency, 1 = run inline serially). report_text is
+  /// byte-identical for every value of `jobs` as long as the run stays
+  /// within budget: results are merged back in canonical
   /// obligation/instance order and each task is internally deterministic.
   int jobs = 0;
   /// Replay every schema counterexample through the concretization engine
@@ -127,11 +127,10 @@ struct Obligation {
   /// (the budget was spent before its slot came up; its seconds are 0).
   /// kError means a non-Cancelled exception escaped the task and was
   /// contained (see `error`); the verdict is inconclusive, never a proof
-  /// or refutation. Which non-complete face an obligation shows is time-
-  /// and scheduling-dependent under a truncated budget, so the CLI renders
-  /// it only in the human-readable obligation lines — never in the fields
-  /// the byte-identity contract compares (complete runs are always
-  /// kComplete).
+  /// or refutation. obligation_line renders the non-complete faces. They
+  /// are deterministic when the run stays within budget or its budget is
+  /// exhausted from the start (every obligation kSkipped); under any other
+  /// truncated budget they are time- and scheduling-dependent.
   enum class RunState { kComplete, kCancelled, kSkipped, kError };
 
   std::string name;
@@ -186,7 +185,8 @@ struct Obligation {
   /// Why an incomplete obligation stopped: the shared budget's first cause
   /// ("schemas", "time", "memory", "interrupt") or this obligation's own
   /// deadline ("obligation-timeout"). Empty for complete obligations.
-  /// Human-readable attribution only — never a byte-identity field.
+  /// obligation_line renders it as `(reason=...)`; see run_state for when
+  /// that is deterministic.
   std::string cut_reason;
   /// This verdict was replayed from the proof cache (Options.cache) instead
   /// of being proved in this run. Provenance only — by the cache's key
@@ -242,11 +242,14 @@ std::vector<ObligationKey> obligation_cache_keys(
     const protocols::ProtocolModel& pm, const Options& opts = {});
 
 /// The canonical per-obligation verdict line (no indentation, no trailing
-/// newline) — shared by `ctaver verify` and the daemon's event stream, so a
+/// newline) — shared by report_text and the daemon's event stream, so a
 /// streamed verdict is byte-identical to the CLI's. run_state suffixes and
 /// cut reasons render only for incomplete obligations, keeping the line
 /// stable across scheduling for complete runs.
 std::string obligation_line(const Obligation& o);
+
+/// One-line brief of a contained error: `kind=K [site=S ]what=W`.
+std::string error_brief(const ObligationError& e);
 
 /// Runs the full pipeline on one protocol. With opts.jobs != 1 the proof
 /// obligations (and the instances inside each sweep) are discharged
@@ -301,8 +304,15 @@ ProtocolRun verify_protocol_async(const protocols::ProtocolModel& pm,
 std::vector<schema::CheckResult::WorkerStat> worker_stats(
     const ProtocolReport& report);
 
-/// Formats a report as one row of the paper's Table II.
-std::string table2_row(const ProtocolReport& report);
-std::string table2_header();
+/// The report `ctaver verify` prints, and the byte-identity contract: the
+/// header, each property's verdict and obligation lines (with any error
+/// brief, `ce`, `detail` and `replay`), then the untimed table2_row. It
+/// leaves out `seconds`, `cached`, `per_worker`, `nqueries` and `npivots`.
+std::string report_text(const ProtocolReport& report);
+
+/// One row of the paper's Table II; `timed` adds the three time cells
+/// (`ctaver table2`).
+std::string table2_row(const ProtocolReport& report, bool timed = true);
+std::string table2_header(bool timed = true);
 
 }  // namespace ctaver::verify

@@ -2,7 +2,8 @@
 # Exit-code taxonomy of the ctaver CLI: 0 when every verdict is obtained,
 # 1 on a verdict shortfall (here a genuine counterexample), 2 on a usage
 # or input error. A numeric flag must spell a whole non-negative number,
-# and 0 keeps its per-flag meaning.
+# 0 keeps its per-flag meaning, and a huge time limit saturates instead of
+# expiring at once.
 #
 #   sh tests/cli_exit_codes.sh path/to/ctaver
 #
@@ -28,10 +29,12 @@ expect() {
 expect 0 verify CC85a --jobs 1 --workers 1
 expect 0 verify CC85a --jobs 0 --workers 0 --max-schemas 0 \
   --time-budget 0 --max-states 0 --max-rss-mb 0
+expect 0 verify CC85a --time-budget 1e10 --obligation-timeout 1e10
 expect 1 verify "$root/specs/naive_voting.cta"
 expect 2 bogus-command
 expect 2 verify CC85a --bogus-option
 expect 2 verify CC85a --static-partition
+expect 2 verify CC85a --quiet
 expect 2 verify CC85a --fault-inject bogus:1:throw
 expect 2 verify CC85a --jobs 2x
 expect 2 verify CC85a --max-schemas -5

@@ -69,19 +69,6 @@ std::string unique_socket_path() {
          std::to_string(counter++) + ".sock";
 }
 
-/// Deterministic report rendering, seconds excluded.
-std::string render(const verify::ProtocolReport& r) {
-  std::ostringstream os;
-  for (const verify::PropertyResult* p :
-       {&r.agreement, &r.validity, &r.termination}) {
-    for (const verify::Obligation& o : p->obligations) {
-      os << verify::obligation_line(o) << " ce=[" << o.ce << "] detail=["
-         << o.detail << "]\n";
-    }
-  }
-  return os.str();
-}
-
 verify::Options matrix_options(int jobs, int workers) {
   verify::Options opts;
   opts.jobs = jobs;
@@ -136,7 +123,7 @@ bool crash_verify_in_child(const std::string& cache_dir, int hit,
 // {1,2,8}^2.
 TEST(CrashResume, KilledVerifyResumesByteIdenticalAcrossMatrix) {
   protocols::ProtocolModel pm = builtin("NaiveVoting");
-  const std::string cold = render(verify::verify_protocol(pm, {}));
+  const std::string cold = verify::report_text(verify::verify_protocol(pm, {}));
   // Hit 12 of schema.encode lands mid-run for NaiveVoting (total hits are
   // deterministic and exceed it); jobs=1 additionally guarantees at least
   // one obligation finished first, exercising partial durability.
@@ -177,7 +164,7 @@ TEST(CrashResume, KilledVerifyResumesByteIdenticalAcrossMatrix) {
       journal.run_start(run, "verify", pm.name, keys.size());
       verify::ProtocolReport r = verify::verify_protocol(pm, resume);
       journal.run_end(run, 1);
-      EXPECT_EQ(render(r), cold);
+      EXPECT_EQ(verify::report_text(r), cold);
       // The journal may undercount by one: a kill between a proof's
       // cache store and its journal append leaves the proof durable but
       // unjournaled, and the cache probe (the resume authority) finds it.

@@ -332,6 +332,25 @@ TEST_F(FaultInjection, HugeRssCapSaturatesInsteadOfWrapping) {
   }
 }
 
+TEST_F(FaultInjection, HugeTimeoutsSaturateInsteadOfWrapping) {
+  // 1e10 s is past the nanoseconds a steady-clock duration holds. The shared
+  // budget's time limit and the per-obligation deadline must saturate
+  // there, not wrap into the past and cut every obligation with reason
+  // "time" or "obligation-timeout": CC85a renders exactly as it does
+  // without either limit.
+  verify::Options opts = fast_options();
+  opts.jobs = 1;
+  const std::string plain =
+      verify::report_text(verify::verify_protocol(builtin("CC85a"), opts));
+  opts.schema.time_budget_s = 1e10;
+  opts.obligation_timeout_s = 1e10;
+  EXPECT_EQ(
+      verify::report_text(verify::verify_protocol(builtin("CC85a"), opts)),
+      plain);
+  schema::SharedBudget budget(1, 1e10);
+  EXPECT_FALSE(budget.exhausted());
+}
+
 TEST_F(FaultInjection, ObligationTimeoutCutsWithoutTouchingTheBudget) {
   verify::Options opts = fast_options();
   opts.obligation_timeout_s = 1e-9;  // expired the moment each task starts

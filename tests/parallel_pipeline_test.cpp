@@ -1,12 +1,10 @@
 // Serial-equivalence harness for the parallel obligation scheduler: running
 // verify_protocol with jobs=1 and jobs=N must produce byte-identical
-// rendered reports (verdicts, obligation order, counterexamples, nschemas;
-// seconds excluded) for every registry protocol, and a tight shared budget
-// must degrade to inconclusive obligations — never a wrong verdict — in
-// both modes.
+// report_text (verdicts, obligation order, counterexamples, nschemas) for
+// every registry protocol, and a tight shared budget must degrade to
+// inconclusive obligations — never a wrong verdict — in both modes.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,31 +26,6 @@ protocols::ProtocolModel builtin(const std::string& name) {
 int parallel_jobs() {
   unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(hw > 4 ? hw : 4);
-}
-
-/// Canonical report rendering for equivalence checks. Everything
-/// deterministic is included; `seconds` (wall-clock) is excluded, and
-/// `nschemas` is masked for budget-truncated obligations, whose counts are
-/// as time-dependent as seconds even in a serial run.
-std::string render(const ProtocolReport& r) {
-  std::ostringstream os;
-  os << r.protocol << " cat=" << static_cast<int>(r.category)
-     << " L=" << r.n_locations << " R=" << r.n_rules << "\n";
-  auto prop = [&os](const char* title, const PropertyResult& p) {
-    os << title << ": holds=" << p.holds()
-       << " ce=" << p.has_counterexample()
-       << " inconclusive=" << p.inconclusive() << "\n";
-    for (const Obligation& o : p.obligations) {
-      os << "  " << o.name << " holds=" << o.holds
-         << " parametric=" << o.parametric << " complete=" << o.complete
-         << " nschemas=" << (o.complete ? std::to_string(o.nschemas) : "-")
-         << " ce=[" << o.ce << "] detail=[" << o.detail << "]\n";
-    }
-  };
-  prop("agreement", r.agreement);
-  prop("validity", r.validity);
-  prop("termination", r.termination);
-  return os.str();
 }
 
 /// The six protocols cheap enough to discharge conclusively in a test run.
@@ -79,12 +52,12 @@ TEST(ParallelPipeline, SerialEquivalenceOnEveryRegistryProtocol) {
       opts.schema.time_budget_s = 0.0;
     }
     opts.jobs = 1;
-    std::string serial = render(verify_protocol(pm, opts));
+    std::string serial = report_text(verify_protocol(pm, opts));
     // Reports (verdicts, obligations, counterexamples, nschemas) must be
     // byte-identical at every scheduler width.
     for (int jobs : {2, 8, parallel_jobs()}) {
       opts.jobs = jobs;
-      std::string parallel = render(verify_protocol(pm, opts));
+      std::string parallel = report_text(verify_protocol(pm, opts));
       EXPECT_EQ(serial, parallel) << name << " with jobs=" << jobs;
     }
   }
@@ -92,7 +65,7 @@ TEST(ParallelPipeline, SerialEquivalenceOnEveryRegistryProtocol) {
 
 /// Deterministic solver statistics of every budget-complete obligation
 /// (npivots, nqueries), masked to -1 for budget-truncated ones. These are
-/// not rendered into reports but must still be byte-for-byte reproducible
+/// not in report_text but must still be byte-for-byte reproducible
 /// across every (jobs, workers) combination — the partitioned enumeration's
 /// per-unit warm solvers make pivot counts independent of scheduling.
 std::vector<long long> complete_solver_stats(const ProtocolReport& r) {
@@ -127,7 +100,7 @@ TEST(ParallelPipeline, WorkersJobsMatrixEquivalence) {
     opts.jobs = 1;
     opts.schema.workers = 1;
     ProtocolReport base = verify_protocol(pm, opts);
-    std::string base_render = render(base);
+    std::string base_render = report_text(base);
     std::vector<long long> base_stats = complete_solver_stats(base);
     for (int workers : {1, 2, 8}) {
       for (int jobs : {1, 2, 8}) {
@@ -135,7 +108,7 @@ TEST(ParallelPipeline, WorkersJobsMatrixEquivalence) {
         opts.jobs = jobs;
         opts.schema.workers = workers;
         ProtocolReport r = verify_protocol(pm, opts);
-        EXPECT_EQ(base_render, render(r))
+        EXPECT_EQ(base_render, report_text(r))
             << name << " jobs=" << jobs << " workers=" << workers;
         EXPECT_EQ(base_stats, complete_solver_stats(r))
             << name << " jobs=" << jobs << " workers=" << workers;
@@ -161,7 +134,7 @@ TEST(ParallelPipeline, CoreSkipPreservesReportBytesAndCutsQueries) {
     ProtocolReport full = verify_protocol(pm, opts);
     opts.schema.core_skip = true;
     ProtocolReport skip = verify_protocol(pm, opts);
-    EXPECT_EQ(render(full), render(skip)) << name;
+    EXPECT_EQ(report_text(full), report_text(skip)) << name;
     for (const PropertyResult* p :
          {&full.agreement, &full.validity, &full.termination}) {
       for (const Obligation& o : p->obligations) {
@@ -198,10 +171,10 @@ TEST(ParallelPipeline, PartitionDepthDoesNotChangeReportBytes) {
     opts.jobs = 1;
     opts.run_sweeps = false;
     opts.schema.workers = 2;
-    std::string base = render(verify_protocol(pm, opts));
+    std::string base = report_text(verify_protocol(pm, opts));
     for (int depth : {1, 3, 5}) {
       opts.schema.partition_depth = depth;
-      EXPECT_EQ(base, render(verify_protocol(pm, opts)))
+      EXPECT_EQ(base, report_text(verify_protocol(pm, opts)))
           << name << " partition_depth=" << depth;
     }
   }
@@ -221,9 +194,9 @@ TEST(ParallelPipeline, IncrementalEncoderMatchesFreshEncoder) {
     Options opts;
     opts.jobs = 1;
     opts.schema.incremental = false;
-    std::string fresh = render(verify_protocol(pm, opts));
+    std::string fresh = report_text(verify_protocol(pm, opts));
     opts.schema.incremental = true;
-    std::string incremental = render(verify_protocol(pm, opts));
+    std::string incremental = report_text(verify_protocol(pm, opts));
     EXPECT_EQ(fresh, incremental) << name;
   }
 }
@@ -240,7 +213,7 @@ TEST(ParallelPipeline, SharedPoolAsyncMatchesSerial) {
   opts.jobs = 1;
   std::vector<std::string> serial;
   for (const std::string& name : names) {
-    serial.push_back(render(verify_protocol(registry.make(name), opts)));
+    serial.push_back(report_text(verify_protocol(registry.make(name), opts)));
   }
   util::ThreadPool pool(parallel_jobs());
   std::vector<ProtocolRun> runs;
@@ -248,7 +221,7 @@ TEST(ParallelPipeline, SharedPoolAsyncMatchesSerial) {
     runs.push_back(verify_protocol_async(registry.make(name), opts, pool));
   }
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(serial[i], render(runs[i].finish())) << names[i];
+    EXPECT_EQ(serial[i], report_text(runs[i].finish())) << names[i];
   }
 }
 
@@ -332,9 +305,9 @@ TEST(ParallelPipeline, AutoJobsSmoke) {
   // serial rendering like any other width.
   Options opts;
   opts.jobs = 1;
-  std::string serial = render(verify_protocol(builtin("FMR05"), opts));
+  std::string serial = report_text(verify_protocol(builtin("FMR05"), opts));
   opts.jobs = 0;
-  std::string auto_jobs = render(verify_protocol(builtin("FMR05"), opts));
+  std::string auto_jobs = report_text(verify_protocol(builtin("FMR05"), opts));
   EXPECT_EQ(serial, auto_jobs);
 }
 

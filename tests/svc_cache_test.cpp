@@ -78,26 +78,6 @@ std::vector<verify::ObligationKey> keys_of(const protocols::ProtocolModel& pm) {
   return verify::obligation_cache_keys(pm);
 }
 
-/// Canonical report rendering for byte-identity checks (same shape as the
-/// parallel-pipeline harness): everything deterministic, seconds excluded.
-std::string render(const verify::ProtocolReport& r) {
-  std::ostringstream os;
-  os << r.protocol << " cat=" << static_cast<int>(r.category)
-     << " L=" << r.n_locations << " R=" << r.n_rules << "\n";
-  auto prop = [&os](const char* title, const verify::PropertyResult& p) {
-    os << title << ": holds=" << p.holds() << " ce=" << p.has_counterexample()
-       << " inconclusive=" << p.inconclusive() << "\n";
-    for (const verify::Obligation& o : p.obligations) {
-      os << "  " << verify::obligation_line(o) << " ce=[" << o.ce
-         << "] detail=[" << o.detail << "] replay=[" << o.replay << "]\n";
-    }
-  };
-  prop("agreement", r.agreement);
-  prop("validity", r.validity);
-  prop("termination", r.termination);
-  return os.str();
-}
-
 TEST(Sha256, KnownVectors) {
   EXPECT_EQ(
       util::sha256_hex(""),
@@ -481,13 +461,13 @@ TEST(PipelineCache, WarmResubmissionReprovesOnlyChangedObligations) {
   svc::CacheStats s2 = cache.stats();
   EXPECT_EQ(s2.hits - s1.hits, 6u);
   EXPECT_EQ(s2.misses - s1.misses, 0u);
-  EXPECT_EQ(render(warm0), render(cold));
+  EXPECT_EQ(verify::report_text(warm0), verify::report_text(cold));
 }
 
 TEST(PipelineCache, HitPathBytesMatchColdRunAcrossJobsAndWorkers) {
   protocols::ProtocolModel pm = builtin("NaiveVoting");
   verify::Options plain;
-  std::string cold = render(verify::verify_protocol(pm, plain));
+  std::string cold = verify::report_text(verify::verify_protocol(pm, plain));
 
   svc::ProofCache cache;
   verify::Options seed = plain;
@@ -502,7 +482,8 @@ TEST(PipelineCache, HitPathBytesMatchColdRunAcrossJobsAndWorkers) {
       opts.jobs = jobs;
       opts.schema.workers = workers;
       verify::ProtocolReport warm = verify::verify_protocol(pm, opts);
-      EXPECT_EQ(render(warm), cold) << "jobs=" << jobs << " workers=" << workers;
+      EXPECT_EQ(verify::report_text(warm), cold)
+          << "jobs=" << jobs << " workers=" << workers;
       for (const verify::PropertyResult* p :
            {&warm.agreement, &warm.validity, &warm.termination}) {
         for (const verify::Obligation& o : p->obligations) {
@@ -527,7 +508,7 @@ TEST(PipelineCache, ReplayedCounterexampleReplaysByteIdentically) {
   opts.cache = &cache;
   verify::verify_protocol(pm, opts);
   verify::ProtocolReport warm = verify::verify_protocol(pm, opts);
-  EXPECT_EQ(render(warm), render(cold));
+  EXPECT_EQ(verify::report_text(warm), verify::report_text(cold));
   // Agreement is refuted with a structured CE; its replay summary must be
   // present (recomputed, not cached) and identical to the cold run's.
   ASSERT_FALSE(warm.agreement.obligations.empty());

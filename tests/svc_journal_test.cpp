@@ -228,19 +228,6 @@ TEST(Journal, RunIdIsDeterministicAndKeySensitive) {
 
 // --- pipeline integration ----------------------------------------------
 
-/// Deterministic report rendering, seconds excluded (the cache-test shape).
-std::string render(const verify::ProtocolReport& r) {
-  std::ostringstream os;
-  for (const verify::PropertyResult* p :
-       {&r.agreement, &r.validity, &r.termination}) {
-    for (const verify::Obligation& o : p->obligations) {
-      os << verify::obligation_line(o) << " ce=[" << o.ce << "] detail=["
-         << o.detail << "]\n";
-    }
-  }
-  return os.str();
-}
-
 TEST(JournalPipeline, EveryDurableVerdictLandsARecord) {
   protocols::ProtocolModel pm = builtin("NaiveVoting");
   TempDir dir;
@@ -292,7 +279,7 @@ TEST(JournalPipeline, PartialDurabilityResumesByteIdentical) {
   // journal only the survivors. The "resume" run must re-prove exactly
   // the missing ones and render byte-identically to a cold run.
   protocols::ProtocolModel pm = builtin("NaiveVoting");
-  std::string cold = render(verify::verify_protocol(pm, {}));
+  std::string cold = verify::report_text(verify::verify_protocol(pm, {}));
 
   TempDir dir;
   std::vector<verify::ObligationKey> keys = naive_keys();
@@ -328,7 +315,7 @@ TEST(JournalPipeline, PartialDurabilityResumesByteIdentical) {
   recovered.run_start(run, "verify", pm.name, keys.size());
   verify::ProtocolReport r = verify::verify_protocol(pm, resume);
   recovered.run_end(run, 1);
-  EXPECT_EQ(render(r), cold);
+  EXPECT_EQ(verify::report_text(r), cold);
   EXPECT_EQ(cache.stats().hits, 3u);    // the durable survivors replayed
   EXPECT_EQ(cache.stats().misses, 3u);  // the lost ones re-proved
   Journal after(dir.str());

@@ -41,20 +41,6 @@ std::string unique_socket_path() {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
-/// Drops the agr/val/ast time columns (whitespace tokens 6/8/10) from a
-/// Table-II row: wall-clock is the one field outside the byte-identity
-/// contract, so two otherwise-identical runs may round it differently.
-std::string strip_row_times(const std::string& row) {
-  std::istringstream is(row);
-  std::string tok, out;
-  for (int i = 1; is >> tok; ++i) {
-    if (i == 6 || i == 8 || i == 10) continue;
-    if (!out.empty()) out += ' ';
-    out += tok;
-  }
-  return out;
-}
-
 /// Disposable cache directory for the journal-backed daemon tests.
 class TmpCacheDir {
  public:
@@ -287,8 +273,7 @@ TEST(SvcServer, ResubmissionReplaysFromTheCache) {
     EXPECT_EQ(warm[i]["nschemas"].as_int(), cold[i]["nschemas"].as_int());
   }
   EXPECT_EQ(warm.back()["exit"].as_int(), cold.back()["exit"].as_int());
-  EXPECT_EQ(strip_row_times(warm.back().get("row")),
-            strip_row_times(cold.back().get("row")));
+  EXPECT_EQ(warm.back().get("row"), cold.back().get("row"));
   CacheStats stats = fx.server().cache().stats();
   EXPECT_EQ(stats.hits, 6u);
   EXPECT_EQ(stats.stores, 6u);
@@ -392,8 +377,8 @@ TEST(SvcServer, BlockingClientMatchesVerifyOutput) {
   // The daemon streams per-obligation runs in canonical key order, which
   // interleaves properties differently from the per-property listing; the
   // byte-identity contract is per line, so compare the sorted line sets.
-  // The Table-II row (the client's last line) is compared with its time
-  // columns stripped — wall-clock is outside the contract.
+  // The client's last line is the untimed Table-II row that ends
+  // report_text.
   auto lines = [](const std::string& s) {
     std::vector<std::string> v;
     std::istringstream is(s);
@@ -403,8 +388,7 @@ TEST(SvcServer, BlockingClientMatchesVerifyOutput) {
   };
   std::vector<std::string> got = lines(out.str());
   ASSERT_FALSE(got.empty());
-  EXPECT_EQ(strip_row_times(got.back()),
-            strip_row_times(verify::table2_row(direct)));
+  EXPECT_EQ(got.back(), verify::table2_row(direct, /*timed=*/false));
   got.pop_back();
   std::vector<std::string> want = lines(expect.str());
   std::sort(got.begin(), got.end());

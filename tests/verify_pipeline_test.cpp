@@ -1,10 +1,11 @@
 // Integration tests for the verification pipeline (src/verify): category
-// (A)/(B) protocols verify end-to-end; report aggregation and Table-II
-// formatting behave; the C1/C2' instance games give the expected verdicts.
+// (A)/(B) protocols verify end-to-end; report aggregation, Table-II
+// formatting and the report_text contract behave; the C1/C2' instance
+// games give the expected verdicts.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "frontend/registry.h"
@@ -82,6 +83,8 @@ TEST(Pipeline, TableFormatting) {
   std::string header = table2_header();
   std::string row = table2_row(r);
   EXPECT_NE(header.find("nschemas"), std::string::npos);
+  EXPECT_NE(header.find("agr-time"), std::string::npos);
+  EXPECT_EQ(table2_header(/*timed=*/false).find("-time"), std::string::npos);
   EXPECT_NE(row.find("CC85a"), std::string::npos);
   EXPECT_NE(row.find("(B)"), std::string::npos);
   EXPECT_NE(row.find("verified"), std::string::npos);
@@ -121,34 +124,69 @@ TEST(Pipeline, PropertyResultAggregation) {
   EXPECT_EQ(pr.failure(), "x: ce");
 }
 
-/// The Table-II row with its wall-clock columns (fields 6, 8, 10) struck —
-/// the same strip CI's awk applies before diffing traced vs untraced runs.
-std::string row_sans_times(const ProtocolReport& r) {
-  std::istringstream is(table2_row(r));
-  std::ostringstream os;
-  std::string field;
-  for (int i = 1; is >> field; ++i) {
-    if (i == 6 || i == 8 || i == 10) continue;
-    os << field << " ";
-  }
-  return os.str();
+ProtocolReport naive_voting_replayed() {
+  Options opts;
+  opts.replay_ce = true;
+  return verify_protocol(builtin("NaiveVoting"), opts);
 }
 
-/// Every report field the byte-identity contract covers (everything except
-/// wall-clock seconds and the scheduling-dependent run_state).
-std::string render(const ProtocolReport& r) {
-  std::ostringstream os;
-  os << r.protocol << "\n";
-  for (const PropertyResult* p :
-       {&r.agreement, &r.validity, &r.termination}) {
-    for (const Obligation& o : p->obligations) {
-      os << o.name << " holds=" << o.holds << " parametric=" << o.parametric
-         << " complete=" << o.complete << " nschemas=" << o.nschemas
-         << " ce=" << o.ce << " detail=" << o.detail << "\n";
+TEST(Pipeline, ReportTextIgnoresTimingCacheAndSolverStats) {
+  // Two copies of one report that differ only in wall-clock, cache
+  // provenance, worker stats and solver counts render the same
+  // report_text; the timed Table-II row still tells them apart.
+  const ProtocolReport a = naive_voting_replayed();
+  ProtocolReport b = a;
+  for (PropertyResult* p : {&b.agreement, &b.validity, &b.termination}) {
+    for (Obligation& o : p->obligations) {
+      o.seconds += 1.5;
+      o.cached = !o.cached;
+      o.per_worker.push_back({3, 5});
+      o.nqueries += 7;
+      o.npivots += 11;
     }
   }
-  os << row_sans_times(r) << "\n";
-  return os.str();
+  EXPECT_EQ(report_text(a), report_text(b));
+  EXPECT_NE(table2_row(a), table2_row(b));
+}
+
+TEST(Pipeline, ReportTextCoversEveryVerdictField) {
+  // Each field the byte-identity checks compare shows in report_text:
+  // changing any one of them changes the bytes.
+  const ProtocolReport base = naive_voting_replayed();
+  ASSERT_FALSE(base.agreement.obligations.at(0).replay.empty());
+  ASSERT_FALSE(base.termination.obligations.at(0).detail.empty());
+  using Edit = void (*)(ProtocolReport&);
+  const std::pair<const char*, Edit> edits[] = {
+      {"protocol", [](ProtocolReport& r) { r.protocol += "x"; }},
+      {"category",
+       [](ProtocolReport& r) { r.category = protocols::Category::kC; }},
+      {"n_locations", [](ProtocolReport& r) { ++r.n_locations; }},
+      {"n_rules", [](ProtocolReport& r) { ++r.n_rules; }},
+      {"holds",
+       [](ProtocolReport& r) { r.validity.obligations[0].holds = false; }},
+      {"parametric",
+       [](ProtocolReport& r) { r.validity.obligations[0].parametric = false; }},
+      {"run_state",
+       [](ProtocolReport& r) {
+         r.validity.obligations[0].run_state = Obligation::RunState::kSkipped;
+       }},
+      {"cut_reason",
+       [](ProtocolReport& r) { r.validity.obligations[0].cut_reason = "x"; }},
+      {"nschemas",
+       [](ProtocolReport& r) { ++r.validity.obligations[0].nschemas; }},
+      {"error",
+       [](ProtocolReport& r) { r.validity.obligations[0].error.emplace(); }},
+      {"ce", [](ProtocolReport& r) { r.agreement.obligations[0].ce += "x"; }},
+      {"replay",
+       [](ProtocolReport& r) { r.agreement.obligations[0].replay += "x"; }},
+      {"detail",
+       [](ProtocolReport& r) { r.termination.obligations[0].detail += "x"; }},
+  };
+  for (const auto& [field, edit] : edits) {
+    ProtocolReport r = base;
+    edit(r);
+    EXPECT_NE(report_text(r), report_text(base)) << field;
+  }
 }
 
 TEST(Pipeline, ObservabilityIsOutOfBand) {
@@ -165,7 +203,7 @@ TEST(Pipeline, ObservabilityIsOutOfBand) {
         Options opts = fast_options();
         opts.jobs = jobs;
         opts.schema.workers = workers;
-        renders.push_back(render(verify_protocol(pm, opts)));
+        renders.push_back(report_text(verify_protocol(pm, opts)));
       }
     }
     return renders;
