@@ -513,9 +513,10 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
     journal.emplace(args.cache_dir);
     if (!journal->ok()) {
       std::cerr << "ctaver: journal: " << journal->error()
-                << " (continuing without crash-safety)\n";
-      journal.reset();
+                << (args.resume ? " (cannot resume without it)\n"
+                                : " (continuing without crash-safety)\n");
       if (args.resume) return 2;
+      journal.reset();
     }
   }
   if (journal) {

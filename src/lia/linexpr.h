@@ -102,10 +102,6 @@ struct Constraint {
   static Constraint eq(const LinExpr& a, const LinExpr& b) {
     return eq0(a - b);
   }
-  /// a < b over integers, i.e. a <= b - 1 (requires integer-valued sides).
-  static Constraint lt_int(const LinExpr& a, const LinExpr& b) {
-    return le0(a - b + LinExpr(util::Rational(1)));
-  }
   /// a > b over integers, i.e. a >= b + 1.
   static Constraint gt_int(const LinExpr& a, const LinExpr& b) {
     return ge0(a - b - LinExpr(util::Rational(1)));

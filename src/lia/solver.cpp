@@ -68,15 +68,14 @@ void Solver::for_each_row_with(int iv, F&& f) {
   lst.resize(out);
 }
 
-Var Solver::new_var(std::string name, std::optional<long long> lb,
+Var Solver::new_var(std::optional<long long> lb,
                     std::optional<long long> ub) {
   std::optional<Rational> rlb, rub;
   if (lb) rlb = Rational(*lb);
   if (ub) rub = Rational(*ub);
   int iv = alloc_internal(std::move(rlb), std::move(rub));
-  vars_.push_back({std::move(name)});
   ext2int_.push_back(iv);
-  return static_cast<Var>(vars_.size() - 1);
+  return static_cast<Var>(ext2int_.size() - 1);
 }
 
 bool Solver::below_lb(int iv) const {
@@ -233,8 +232,8 @@ Solver::Checkpoint Solver::push() {
   obs::add(obs::Counter::kSolverScopes);
   Checkpoint cp{static_cast<int>(scopes_.size())};
   scopes_.push_back({trail_.size(), constraints_.size(),
-                     static_cast<int>(beta_.size()),
-                     static_cast<int>(vars_.size()), const_unsat_});
+                     static_cast<int>(beta_.size()), num_vars(),
+                     const_unsat_});
   return cp;
 }
 
@@ -298,7 +297,6 @@ void Solver::pop_to(Checkpoint cp) {
   row_of_.resize(static_cast<std::size_t>(scope.n_internal));
   cols_.resize(static_cast<std::size_t>(scope.n_internal));
   owner_.resize(static_cast<std::size_t>(scope.n_internal));
-  vars_.resize(static_cast<std::size_t>(scope.n_external));
   ext2int_.resize(static_cast<std::size_t>(scope.n_external));
 }
 

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "lia/linexpr.h"
@@ -63,13 +62,12 @@ class Solver {
 
   /// Creates an integer variable. Optional bounds; pass nullopt for open
   /// sides. Returns its id (dense, starting at 0).
-  Var new_var(std::string name, std::optional<long long> lb = std::nullopt,
+  Var new_var(std::optional<long long> lb = std::nullopt,
               std::optional<long long> ub = std::nullopt);
 
   /// Number of variables created so far (and not undone by pop()).
-  [[nodiscard]] int num_vars() const { return static_cast<int>(vars_.size()); }
-  [[nodiscard]] const std::string& var_name(Var v) const {
-    return vars_[static_cast<std::size_t>(v)].name;
+  [[nodiscard]] int num_vars() const {
+    return static_cast<int>(ext2int_.size());
   }
 
   /// Tightens bounds on an existing variable (looser values are ignored).
@@ -157,17 +155,11 @@ class Solver {
     return static_cast<int>(beta_.size());
   }
 
-  /// Statistics of the last check().
-  [[nodiscard]] long long last_pivots() const { return stat_pivots_; }
-  [[nodiscard]] long long last_nodes() const { return stat_nodes_; }
-  /// Pivots across every check() on this solver (never reset). This is the
-  /// number bench_solver compares between the incremental and fresh modes.
+  /// Pivots across every check() on this solver (never reset): what the
+  /// schema checker reports as CheckResult::npivots.
   [[nodiscard]] long long total_pivots() const { return total_pivots_; }
 
  private:
-  struct VarInfo {
-    std::string name;
-  };
   struct BoundChange {
     int iv;  // internal id
     bool upper;
@@ -218,8 +210,7 @@ class Solver {
   Result do_check_counted(bool relaxed);
 
   SolverOptions options_;
-  // External (caller-visible) variables.
-  std::vector<VarInfo> vars_;
+  // External (caller-visible) variable -> internal id.
   std::vector<int> ext2int_;
   std::vector<Constraint> constraints_;
   std::vector<int> crow_;  // constraint -> internal slack id, -1 if constant

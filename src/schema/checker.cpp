@@ -28,10 +28,8 @@ using lia::Result;
 using lia::Solver;
 using util::Rational;
 
-/// Small-model caps (documented in checker.h): parameters are bounded so
-/// that the big-M relaxation of conditional guard checks is exact.
-constexpr long long kParamCap = 100'000;
-constexpr long long kBatchCap = 1'000'000;
+/// Big-M of the conditional falling-guard checks; exact under the
+/// small-model caps kParamCap and kBatchCap (checker.h).
 constexpr long long kBigM = 100'000'000;
 
 /// Sentinel flip position for guards absent from the current order.
@@ -156,7 +154,7 @@ std::vector<RuleView> make_rule_views(const ta::System& sys,
 //  * solve_fresh() rebuilds the whole model in a fresh solver per query —
 //    the pre-incremental behavior, kept for counterexample extraction
 //    (reports stay deterministic and independent of warm-solver state) and
-//    as the "before" leg of bench_solver.
+//    as the reference encoder (CheckOptions::incremental = false).
 //
 //  * probe()/query_sat() keep ONE long-lived solver per worker. The
 //    obligation-invariant prelude (parameters, resilience, initial
@@ -399,7 +397,6 @@ class Encoder {
     std::vector<LinExpr> gval;      // current shared-variable values
     std::vector<char> reachable;    // cumulative location reachability
     std::vector<BatchVar> batches;
-    int batch_serial = 0;
     /// Constraint and internal-variable counts at the moment the conclusion
     /// witness of the query being emitted was asserted (-1 before that
     /// point): the emission-divergence markers the sibling-cut-placement
@@ -414,7 +411,6 @@ class Encoder {
     std::vector<LinExpr> kappa, gval;
     std::vector<char> reachable;
     std::size_t nbatches = 0;
-    int batch_serial = 0;
   };
 
   /// One asserted milestone-order prefix element: the solver scope holding
@@ -480,8 +476,8 @@ class Encoder {
   /// Asserts the obligation-invariant prelude: parameters under the
   /// resilience condition, initial counters, zero shared variables.
   void assert_prelude(Model& m) {
-    for (const ta::Parameter& p : sys_->env.params) {
-      m.pv.push_back(m.solver.new_var(p.name, 0, kParamCap));
+    for (std::size_t i = 0; i < sys_->env.params.size(); ++i) {
+      m.pv.push_back(m.solver.new_var(0, kParamCap));
     }
     for (const ta::ParamConstraint& rc : sys_->env.resilience) {
       LinExpr e = pexpr(m, rc.expr);
@@ -517,10 +513,7 @@ class Encoder {
             ta::LocRole::kBorder) {
           continue;
         }
-        lia::Var v = m.solver.new_var(
-            std::string(coin ? "c0_" : "k0_") +
-                a.locations[static_cast<std::size_t>(l)].name,
-            0);
+        lia::Var v = m.solver.new_var(0);
         m.kappa[static_cast<std::size_t>(gloc(coin, l))] = LinExpr::term(v);
         sum += LinExpr::term(v);
         any = true;
@@ -558,11 +551,7 @@ class Encoder {
       }
       m.reachable[static_cast<std::size_t>(
           gloc(rv.id.coin, rv.rule->to.dirac_target()))] = 1;
-      std::string xname = "x";
-      xname += std::to_string(m.batch_serial++);
-      xname += '_';
-      xname += rv.rule->name;
-      lia::Var x = m.solver.new_var(xname, 0, kBatchCap);
+      lia::Var x = m.solver.new_var(0, kBatchCap);
       m.batches.push_back({x, &rv, segment});
       // Token availability before the batch.
       LinExpr& from =
@@ -576,11 +565,7 @@ class Encoder {
         for (const auto& [v, b] : info.guard.lhs) {
           delta += b * rv.rule->update_of(v);
         }
-        std::string bname = "b";
-        bname += std::to_string(m.batch_serial);
-        bname += '_';
-        bname += rv.rule->name;
-        lia::Var used = m.solver.new_var(bname, 0, 1);
+        lia::Var used = m.solver.new_var(0, 1);
         m.solver.add(Constraint::le0(
             LinExpr::term(x) - LinExpr::term(used, Rational(kBatchCap))));
         // lhs_before + delta*(x-1) <= rhs - 1 + BigM*(1-used)
@@ -656,7 +641,7 @@ class Encoder {
   }
 
   [[nodiscard]] static Snapshot snapshot(const Model& m) {
-    return {m.kappa, m.gval, m.reachable, m.batches.size(), m.batch_serial};
+    return {m.kappa, m.gval, m.reachable, m.batches.size()};
   }
 
   static void restore(Model& m, const Snapshot& snap) {
@@ -664,7 +649,6 @@ class Encoder {
     m.gval = snap.gval;
     m.reachable = snap.reachable;
     m.batches.resize(snap.nbatches);
-    m.batch_serial = snap.batch_serial;
   }
 
   /// Makes the asserted level stack equal flips[0..upto): pops levels past

@@ -9,7 +9,8 @@
 // spec then becomes a linear-integer query with the *parameters as
 // unknowns*, discharged by src/lia. A SAT answer yields a concrete
 // counterexample (parameter valuation + batch counts); UNSAT across all
-// schemas proves the property for every admissible parameter valuation.
+// schemas proves the property for every admissible parameter valuation
+// within the small-model caps (kParamCap, kBatchCap below).
 //
 // Soundness: every reported counterexample is a real schedule (the encoding
 // checks applicability batch-by-batch and guard truth at every use).
@@ -181,6 +182,15 @@ class SharedBudget final : public util::CancelSource {
   mutable Clock::time_point start_{};
 };
 
+/// Small-model caps of the schema encoding: every parameter is bounded by
+/// kParamCap and every batch count by kBatchCap, the assumption that makes
+/// the big-M encoding of falling guards exact. A counterexample is a real
+/// schedule regardless, but a VERIFIED verdict is proved only for parameter
+/// valuations up to kParamCap = 100,000 and batches up to kBatchCap =
+/// 1,000,000; no small-model theorem lifts it past them yet.
+inline constexpr long long kParamCap = 100'000;
+inline constexpr long long kBatchCap = 1'000'000;
+
 struct CheckOptions {
   /// Use RC-entailment precedence pruning of milestone orders.
   bool prune = true;
@@ -193,9 +203,10 @@ struct CheckOptions {
   /// order prefix level lives in a solver scope shared by all of its cut
   /// placements and child prefixes, and per-query constraints are popped
   /// afterwards. Off = rebuild the model from scratch per query (the
-  /// pre-incremental behavior, kept as bench_solver's baseline and for the
-  /// scoped-vs-fresh equivalence tests). Verdicts, reports, and nschemas
-  /// are identical either way; only pivot counts and wall-clock differ.
+  /// pre-incremental behavior, kept as the reference encoder of
+  /// IncrementalEncoderMatchesFreshEncoder). Verdicts, reports, and
+  /// nschemas are identical either way; only pivot counts and wall-clock
+  /// differ.
   bool incremental = true;
   /// Enumeration workers inside one check_spec call (0 = hardware
   /// concurrency). The milestone-order tree is split at partition_depth

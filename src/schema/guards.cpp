@@ -17,8 +17,8 @@ using util::Rational;
 Solver rc_solver(const ta::System& sys) {
   Solver s;
   std::vector<lia::Var> pvars;
-  for (const ta::Parameter& p : sys.env.params) {
-    pvars.push_back(s.new_var(p.name, 0));
+  for (std::size_t i = 0; i < sys.env.params.size(); ++i) {
+    pvars.push_back(s.new_var(0));
   }
   auto expr_of = [&](const ta::ParamExpr& e) {
     LinExpr out(Rational(e.constant));

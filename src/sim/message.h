@@ -53,10 +53,6 @@ class CommonCoin {
   [[nodiscard]] bool revealed(int round) const {
     return revealed_.count(round) > 0;
   }
-  /// Number of distinct rounds revealed so far.
-  [[nodiscard]] std::size_t rounds_revealed() const {
-    return revealed_.size();
-  }
 
  private:
   std::uint64_t seed_;

@@ -31,8 +31,6 @@ class Json {
   [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
   [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
   [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
-  [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
-  [[nodiscard]] bool is_bool() const { return type_ == Type::kBool; }
 
   [[nodiscard]] bool as_bool(bool fallback = false) const;
   [[nodiscard]] double as_number(double fallback = 0) const;
@@ -44,11 +42,9 @@ class Json {
   [[nodiscard]] const Json& operator[](const std::string& key) const;
   /// Array element; the shared null value when out of range.
   [[nodiscard]] const Json& at(std::size_t i) const;
-  [[nodiscard]] const std::map<std::string, Json>& members() const {
-    return object_;
-  }
 
-  /// String member convenience: members()[key] as_string, or `fallback`.
+  /// String member convenience: the string at `key`, or `fallback` when it
+  /// is absent or not a string.
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback = "") const;
 

@@ -101,8 +101,7 @@ class ThreadPool {
     std::uint64_t spilled = 0;    // drained by run_group() callers
     std::uint64_t max_queue_depth = 0;  // high-water mark over all deques
     /// Tasks executed by each pool worker (spills excluded, so the values
-    /// sum to run - spilled). The spread measures the static round-robin
-    /// imbalance the ROADMAP's shared claim-index item wants to fix.
+    /// sum to run - spilled): how evenly the pool spread its tasks.
     std::vector<std::uint64_t> tasks_per_worker;
   };
   /// Safe to call while the pool is busy; counters are read relaxed, so a

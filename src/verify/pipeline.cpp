@@ -418,12 +418,6 @@ long long PropertyResult::nschemas() const {
   return n;
 }
 
-long long PropertyResult::npivots() const {
-  long long n = 0;
-  for (const Obligation& o : obligations) n += o.npivots;
-  return n;
-}
-
 double PropertyResult::seconds() const {
   double s = 0;
   for (const Obligation& o : obligations) s += o.seconds;

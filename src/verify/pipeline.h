@@ -108,8 +108,8 @@ struct Options {
 /// obligation task (or a schema subtree unit) was caught at the task
 /// boundary and classified here — the run completes, sibling obligations'
 /// report bytes are untouched, and `ctaver` exits 3 instead of aborting.
-/// This taxonomy is the per-obligation verdict-stream contract the planned
-/// `ctaverd` service streams back (ROADMAP item 1).
+/// The `ctaver serve` daemon streams such an obligation with verdict
+/// `error` (src/svc/server.cpp).
 struct ObligationError {
   /// "injected-fault" (util::InjectedFault), "bad-alloc", "exception"
   /// (any other std::exception), or "unknown".
@@ -146,7 +146,7 @@ struct Obligation {
   /// for sweeps. Informational — never rendered into reports.
   long long nqueries = 0;
   /// Simplex pivots spent by the schema checker on this obligation (zero
-  /// for sweeps). Informational — bench_solver's measurement hook.
+  /// for sweeps). Informational — never rendered into reports.
   long long npivots = 0;
   /// Wall time of this obligation's task(s), measured by the scheduler
   /// around the whole task body (sweeps: summed over instances). Unlike the
@@ -209,7 +209,6 @@ struct PropertyResult {
   /// True if some obligation carries a contained internal error (exit 3).
   [[nodiscard]] bool has_error() const;
   [[nodiscard]] long long nschemas() const;
-  [[nodiscard]] long long npivots() const;
   [[nodiscard]] double seconds() const;
   /// Counterexample text of the first failing obligation, if any.
   [[nodiscard]] std::string failure() const;
@@ -299,8 +298,9 @@ ProtocolRun verify_protocol_async(const protocols::ProtocolModel& pm,
 
 /// Slot-wise sum of the per-enumeration-worker scheduling stats over every
 /// parametric obligation in `report`: slot w aggregates logical worker w of
-/// each obligation's check_spec call. Sized to the widest obligation. The
-/// benches derive their max/mean unit and pivot imbalance from this.
+/// each obligation's check_spec call. Sized to the widest obligation.
+/// ctabench and parallel_pipeline_test derive their max/mean unit and
+/// pivot imbalance from this.
 std::vector<schema::CheckResult::WorkerStat> worker_stats(
     const ProtocolReport& report);
 

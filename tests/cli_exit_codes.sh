@@ -3,7 +3,8 @@
 # 1 on a verdict shortfall (here a genuine counterexample), 2 on a usage
 # or input error. A numeric flag must spell a whole non-negative number,
 # 0 keeps its per-flag meaning, and a huge time limit saturates instead of
-# expiring at once.
+# expiring at once. A journal that cannot be opened stops a --resume run
+# and only warns on any other run, and stderr says which.
 #
 #   sh tests/cli_exit_codes.sh path/to/ctaver
 #
@@ -26,6 +27,23 @@ expect() {
   fi
 }
 
+# expect_stderr WANT PATTERN ARGS...: exit code WANT, and stderr matches
+# the grep pattern PATTERN.
+expect_stderr() {
+  want=$1
+  pattern=$2
+  shift 2
+  err=$("$ctaver" "$@" 2>&1 > /dev/null)
+  got=$?
+  if [ "$got" -eq "$want" ] && printf '%s\n' "$err" | grep -q "$pattern"; then
+    echo "ok: ctaver $* -> $got, stderr matches '$pattern'"
+  else
+    echo "FAIL: ctaver $* exited $got, want $want with stderr" \
+      "matching '$pattern'; stderr: $err"
+    failures=$((failures + 1))
+  fi
+}
+
 expect 0 verify CC85a --jobs 1 --workers 1
 expect 0 verify CC85a --jobs 0 --workers 0 --max-schemas 0 \
   --time-budget 0 --max-states 0 --max-rss-mb 0
@@ -40,5 +58,10 @@ expect 2 verify CC85a --jobs 2x
 expect 2 verify CC85a --max-schemas -5
 expect 2 verify CC85a --time-budget -3
 expect 2 verify CC85a --max-states -5
+# /dev/null/x cannot be a directory, so the journal inside it never opens.
+expect_stderr 2 "cannot resume" \
+  verify NaiveVoting --cache-dir /dev/null/x --resume
+expect_stderr 1 "continuing without crash-safety" \
+  verify NaiveVoting --cache-dir /dev/null/x
 
 [ "$failures" -eq 0 ]

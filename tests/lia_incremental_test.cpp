@@ -59,7 +59,7 @@ TEST(SparseRow, AddMultipleMergesAndSkips) {
 
 TEST(Incremental, PopRestoresBounds) {
   Solver s;
-  Var x = s.new_var("x", 0, 10);
+  Var x = s.new_var(0, 10);
   ASSERT_EQ(s.check(), Result::kSat);
   auto cp = s.push();
   s.set_lower(x, 8);
@@ -77,8 +77,8 @@ TEST(Incremental, PopRestoresBounds) {
 
 TEST(Incremental, PopDropsConstraintRows) {
   Solver s;
-  Var x = s.new_var("x", 0);
-  Var y = s.new_var("y", 0);
+  Var x = s.new_var(0);
+  Var y = s.new_var(0);
   s.add(Constraint::ge(LinExpr::term(x) + LinExpr::term(y), konst(4)));
   ASSERT_EQ(s.check(), Result::kSat);
   s.push();
@@ -93,10 +93,10 @@ TEST(Incremental, PopDropsConstraintRows) {
 
 TEST(Incremental, PopRemovesVariables) {
   Solver s;
-  Var x = s.new_var("x", 0, 5);
+  Var x = s.new_var(0, 5);
   ASSERT_EQ(s.check(), Result::kSat);
   s.push();
-  Var z = s.new_var("z", 3, 3);
+  Var z = s.new_var(3, 3);
   s.add(Constraint::eq(LinExpr::term(x), LinExpr::term(z)));
   ASSERT_EQ(s.check(), Result::kSat);
   EXPECT_EQ(s.model(x), 3);
@@ -111,8 +111,8 @@ TEST(Incremental, PopRemovesVariables) {
 
 TEST(Incremental, SatUnsatSatAcrossScopes) {
   Solver s;
-  Var x = s.new_var("x", 0);
-  Var y = s.new_var("y", 0);
+  Var x = s.new_var(0);
+  Var y = s.new_var(0);
   s.add(Constraint::ge(LinExpr::term(x) + LinExpr::term(y, Rational(2)),
                        konst(7)));
   ASSERT_EQ(s.check(), Result::kSat);
@@ -129,7 +129,7 @@ TEST(Incremental, SatUnsatSatAcrossScopes) {
 
 TEST(Incremental, NestedScopesPopToOuter) {
   Solver s;
-  Var x = s.new_var("x", 0, 100);
+  Var x = s.new_var(0, 100);
   auto outer = s.push();
   s.set_lower(x, 10);
   s.push();
@@ -153,8 +153,8 @@ TEST(Incremental, PopWithoutScopeThrows) {
 
 TEST(Incremental, MinimizeLeavesSystemIntact) {
   Solver s;
-  Var x = s.new_var("x", 0);
-  Var y = s.new_var("y", 0);
+  Var x = s.new_var(0);
+  Var y = s.new_var(0);
   s.add(Constraint::ge(LinExpr::term(x) + LinExpr::term(y, Rational(2)),
                        konst(7)));
   s.add(Constraint::le(LinExpr::term(x), konst(4)));
@@ -169,8 +169,8 @@ TEST(Incremental, MinimizeLeavesSystemIntact) {
 
 TEST(Incremental, CheckRelaxedDoesNotBranch) {
   Solver s;
-  Var x = s.new_var("x", 0, 100);
-  Var y = s.new_var("y", 0, 100);
+  Var x = s.new_var(0, 100);
+  Var y = s.new_var(0, 100);
   // Rationally SAT (x = 4.5), integrally UNSAT.
   s.add(Constraint::eq(
       LinExpr::term(x, Rational(4)) + LinExpr::term(y, Rational(6)),
@@ -186,11 +186,7 @@ TEST(Incremental, WarmRecheckAfterRowRemovalKeepsModelsValid) {
   // leave an assignment the next check can repair, not garbage.
   Solver s;
   std::vector<Var> v;
-  for (int i = 0; i < 6; ++i) {
-    std::string name = "v";
-    name += std::to_string(i);
-    v.push_back(s.new_var(std::move(name), 0, 50));
-  }
+  for (int i = 0; i < 6; ++i) v.push_back(s.new_var(0, 50));
   LinExpr sum;
   for (Var x : v) sum += LinExpr::term(x);
   s.add(Constraint::ge(sum, konst(60)));
@@ -245,9 +241,7 @@ TEST_P(ScopedVsFresh, SameVerdictAsReplay) {
   std::vector<ScopeFrame> frames;
   std::vector<Solver::Checkpoint> cps;
 
-  for (int i = 0; i < nv; ++i) {
-    inc.new_var("x" + std::to_string(i), lo, hi);
-  }
+  for (int i = 0; i < nv; ++i) inc.new_var(lo, hi);
 
   auto random_constraint = [&]() {
     LinExpr e;
@@ -266,8 +260,7 @@ TEST_P(ScopedVsFresh, SameVerdictAsReplay) {
     ASSERT_NE(got, Result::kUnknown);
     Solver fresh;
     for (int i = 0; i < nv; ++i) {
-      fresh.new_var("x" + std::to_string(i),
-                    bounds[static_cast<std::size_t>(i)].first,
+      fresh.new_var(bounds[static_cast<std::size_t>(i)].first,
                     bounds[static_cast<std::size_t>(i)].second);
     }
     for (const Constraint& c : active) fresh.add(c);

@@ -21,11 +21,7 @@ TEST_P(RandomSystems, AgreesWithBruteForce) {
   const long long lo = 0, hi = 6;
 
   Solver s;
-  for (int i = 0; i < nv; ++i) {
-    std::string name = "x";
-    name += std::to_string(i);
-    s.new_var(name, lo, hi);
-  }
+  for (int i = 0; i < nv; ++i) s.new_var(lo, hi);
   struct Row {
     long long c[3];
     long long k;
@@ -92,8 +88,8 @@ TEST(BranchAndBound, KnapsackStyleEquality) {
   // 7x + 11y == 100, x,y >= 0: no solution (gcd fine but bounded search);
   // 7x + 11y == 95: x=12,y=1 -> 84+11=95: solution exists.
   Solver s1;
-  Var x1 = s1.new_var("x", 0, 100);
-  Var y1 = s1.new_var("y", 0, 100);
+  Var x1 = s1.new_var(0, 100);
+  Var y1 = s1.new_var(0, 100);
   s1.add(Constraint::eq(
       LinExpr::term(x1, Rational(7)) + LinExpr::term(y1, Rational(11)),
       LinExpr(Rational(100))));
@@ -103,8 +99,8 @@ TEST(BranchAndBound, KnapsackStyleEquality) {
   EXPECT_EQ(7 * s1.model(x1) + 11 * s1.model(y1), 100);
 
   Solver s2;
-  Var x2 = s2.new_var("x", 0, 100);
-  Var y2 = s2.new_var("y", 0, 100);
+  Var x2 = s2.new_var(0, 100);
+  Var y2 = s2.new_var(0, 100);
   s2.add(Constraint::eq(
       LinExpr::term(x2, Rational(4)) + LinExpr::term(y2, Rational(6)),
       LinExpr(Rational(9))));  // parity: impossible
@@ -113,8 +109,8 @@ TEST(BranchAndBound, KnapsackStyleEquality) {
 
 TEST(BranchAndBound, RelaxationModeSkipsIntegrality) {
   Solver s;
-  Var x = s.new_var("x", 0, 100);
-  Var y = s.new_var("y", 0, 100);
+  Var x = s.new_var(0, 100);
+  Var y = s.new_var(0, 100);
   // Rationally SAT (x = 4.5), integrally UNSAT.
   s.add(Constraint::eq(
       LinExpr::term(x, Rational(4)) + LinExpr::term(y, Rational(6)),
@@ -125,7 +121,7 @@ TEST(BranchAndBound, RelaxationModeSkipsIntegrality) {
 
 TEST(BranchAndBound, DegenerateAndRedundantRows) {
   Solver s;
-  Var x = s.new_var("x", 0, 10);
+  Var x = s.new_var(0, 10);
   for (int i = 0; i < 20; ++i) {
     s.add(Constraint::ge(LinExpr::term(x), LinExpr(Rational(3))));
   }

@@ -44,7 +44,7 @@ TEST(LinExpr, NegateInt) {
 
 TEST(Solver, TrivialSat) {
   Solver s;
-  Var x = s.new_var("x", 0);
+  Var x = s.new_var(0);
   s.add(Constraint::ge(LinExpr::term(x), konst(5)));
   ASSERT_EQ(s.check(), Result::kSat);
   EXPECT_GE(s.model(x), 5);
@@ -52,7 +52,7 @@ TEST(Solver, TrivialSat) {
 
 TEST(Solver, TrivialUnsat) {
   Solver s;
-  Var x = s.new_var("x", 0);
+  Var x = s.new_var(0);
   s.add(Constraint::ge(LinExpr::term(x), konst(5)));
   s.add(Constraint::le(LinExpr::term(x), konst(4)));
   EXPECT_EQ(s.check(), Result::kUnsat);
@@ -60,7 +60,7 @@ TEST(Solver, TrivialUnsat) {
 
 TEST(Solver, ConstantConstraints) {
   Solver s;
-  (void)s.new_var("x", 0);
+  (void)s.new_var(0);
   s.add(Constraint::ge(konst(3), konst(3)));
   EXPECT_EQ(s.check(), Result::kSat);
   s.add(Constraint::ge(konst(2), konst(3)));
@@ -70,8 +70,8 @@ TEST(Solver, ConstantConstraints) {
 TEST(Solver, SystemOfEqualities) {
   // x + y == 10, x - y == 4  ->  x=7, y=3.
   Solver s;
-  Var x = s.new_var("x", 0);
-  Var y = s.new_var("y", 0);
+  Var x = s.new_var(0);
+  Var y = s.new_var(0);
   s.add(Constraint::eq(LinExpr::term(x) + LinExpr::term(y), konst(10)));
   s.add(Constraint::eq(LinExpr::term(x) - LinExpr::term(y), konst(4)));
   ASSERT_EQ(s.check(), Result::kSat);
@@ -83,8 +83,8 @@ TEST(Solver, IntegralityForcesBranching) {
   // 2x == 2y + 1 has rational solutions but no integer ones; the bounded
   // window makes branch & bound terminate with UNSAT.
   Solver opts_solver(SolverOptions{.default_lo = 0, .default_hi = 1000});
-  Var x = opts_solver.new_var("x", 0);
-  Var y = opts_solver.new_var("y", 0);
+  Var x = opts_solver.new_var(0);
+  Var y = opts_solver.new_var(0);
   opts_solver.add(Constraint::eq(LinExpr::term(x, Rational(2)),
                                  LinExpr::term(y, Rational(2)) + konst(1)));
   EXPECT_EQ(opts_solver.check(), Result::kUnsat);
@@ -97,8 +97,8 @@ TEST(Solver, IntegralitySatCase) {
   // x=4 gives -1; x= -2 invalid... actually 3*(-1)+5*2=7. With x,y>=0 there
   // is no solution; with x >= -5 there is.
   Solver s;
-  Var x = s.new_var("x", -5);
-  Var y = s.new_var("y", 0);
+  Var x = s.new_var(-5);
+  Var y = s.new_var(0);
   s.add(Constraint::eq(
       LinExpr::term(x, Rational(3)) + LinExpr::term(y, Rational(5)),
       konst(7)));
@@ -111,10 +111,10 @@ TEST(Solver, ThresholdGuardStyleSystem) {
   // A miniature resilience-condition query: n > 3t, t >= f >= 0,
   // b0 >= 2t + 1 - f, b0 <= n - f. Must be satisfiable.
   Solver s;
-  Var n = s.new_var("n", 1);
-  Var t = s.new_var("t", 0);
-  Var f = s.new_var("f", 0);
-  Var b0 = s.new_var("b0", 0);
+  Var n = s.new_var(1);
+  Var t = s.new_var(0);
+  Var f = s.new_var(0);
+  Var b0 = s.new_var(0);
   s.add(Constraint::gt_int(LinExpr::term(n), LinExpr::term(t, Rational(3))));
   s.add(Constraint::ge(LinExpr::term(t), LinExpr::term(f)));
   s.add(Constraint::ge(LinExpr::term(b0),
@@ -132,8 +132,8 @@ TEST(Solver, ThresholdGuardStyleSystem) {
 
 TEST(Solver, Minimize) {
   Solver s;
-  Var x = s.new_var("x", 0);
-  Var y = s.new_var("y", 0);
+  Var x = s.new_var(0);
+  Var y = s.new_var(0);
   // x + 2y >= 7, x <= 4.
   s.add(Constraint::ge(LinExpr::term(x) + LinExpr::term(y, Rational(2)),
                        konst(7)));
@@ -148,9 +148,9 @@ TEST(Solver, Minimize) {
 TEST(Solver, MinimizeFindsSmallParameters) {
   // Counterexample-shrinking scenario: n > 3t, t >= 1, n - f >= 2t + 1.
   Solver s;
-  Var n = s.new_var("n", 1);
-  Var t = s.new_var("t", 0);
-  Var f = s.new_var("f", 0);
+  Var n = s.new_var(1);
+  Var t = s.new_var(0);
+  Var f = s.new_var(0);
   s.add(Constraint::gt_int(LinExpr::term(n), LinExpr::term(t, Rational(3))));
   s.add(Constraint::ge(LinExpr::term(t), konst(1)));
   s.add(Constraint::ge(LinExpr::term(t), LinExpr::term(f)));
@@ -161,7 +161,7 @@ TEST(Solver, MinimizeFindsSmallParameters) {
 
 TEST(Solver, EntailmentYes) {
   Solver s;
-  Var x = s.new_var("x", 0);
+  Var x = s.new_var(0);
   s.add(Constraint::ge(LinExpr::term(x), konst(5)));
   // x >= 5 entails x >= 3.
   EXPECT_EQ(entails(s, Constraint::ge(LinExpr::term(x), konst(3))),
@@ -170,7 +170,7 @@ TEST(Solver, EntailmentYes) {
 
 TEST(Solver, EntailmentNo) {
   Solver s;
-  Var x = s.new_var("x", 0);
+  Var x = s.new_var(0);
   s.add(Constraint::ge(LinExpr::term(x), konst(3)));
   EXPECT_EQ(entails(s, Constraint::ge(LinExpr::term(x), konst(5))),
             Entailment::kNo);
@@ -178,13 +178,13 @@ TEST(Solver, EntailmentNo) {
 
 TEST(Solver, EntailmentEquality) {
   Solver s;
-  Var x = s.new_var("x", 0);
+  Var x = s.new_var(0);
   s.add(Constraint::ge(LinExpr::term(x), konst(4)));
   s.add(Constraint::le(LinExpr::term(x), konst(4)));
   EXPECT_EQ(entails(s, Constraint::eq(LinExpr::term(x), konst(4))),
             Entailment::kYes);
   Solver s2;
-  Var y = s2.new_var("y", 0, 10);
+  Var y = s2.new_var(0, 10);
   EXPECT_EQ(entails(s2, Constraint::eq(LinExpr::term(y), konst(4))),
             Entailment::kNo);
 }
@@ -196,7 +196,7 @@ TEST(Solver, UnknownVariableRejected) {
 
 TEST(Solver, ModelBeforeCheckThrows) {
   Solver s;
-  Var x = s.new_var("x");
+  Var x = s.new_var();
   EXPECT_THROW((void)s.model(x), std::logic_error);
 }
 
@@ -208,10 +208,10 @@ class GuardSweep : public ::testing::TestWithParam<std::pair<int, int>> {};
 TEST_P(GuardSweep, MinimalNIsThreeTPlusOne) {
   auto [t_val, f_val] = GetParam();
   Solver s;
-  Var n = s.new_var("n", 1);
-  Var t = s.new_var("t", 0);
-  Var f = s.new_var("f", 0);
-  Var b = s.new_var("b", 0);
+  Var n = s.new_var(1);
+  Var t = s.new_var(0);
+  Var f = s.new_var(0);
+  Var b = s.new_var(0);
   s.add(Constraint::eq(LinExpr::term(t), konst(t_val)));
   s.add(Constraint::eq(LinExpr::term(f), konst(f_val)));
   s.add(Constraint::gt_int(LinExpr::term(n), LinExpr::term(t, Rational(3))));

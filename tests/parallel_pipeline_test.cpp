@@ -2,9 +2,14 @@
 // verify_protocol with jobs=1 and jobs=N must produce byte-identical
 // report_text (verdicts, obligation order, counterexamples, nschemas) for
 // every registry protocol, and a tight shared budget must degrade to
-// inconclusive obligations — never a wrong verdict — in both modes.
+// inconclusive obligations — never a wrong verdict — in both modes. It
+// also pins the complete protocols' schema/query/pivot counts and bounds
+// the claim index's unit imbalance and the fresh encoder's pivot ratio.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,13 +33,37 @@ int parallel_jobs() {
   return static_cast<int>(hw > 4 ? hw : 4);
 }
 
-/// The six protocols cheap enough to discharge conclusively in a test run.
-/// The category-(C) models (MMR14, Miller18, ABY22) need minutes-to-hours
-/// of enumeration, so SerialEquivalenceOnEveryRegistryProtocol covers them
-/// in a deterministic zero-budget regime instead.
+/// Σ nschemas, Σ nqueries and Σ npivots over a report's obligations.
+using Counts = std::array<long long, 3>;
+
+Counts count_totals(const ProtocolReport& r) {
+  Counts c{};
+  for (const PropertyResult* p :
+       {&r.agreement, &r.validity, &r.termination}) {
+    for (const Obligation& o : p->obligations) {
+      c[0] += o.nschemas;
+      c[1] += o.nqueries;
+      c[2] += o.npivots;
+    }
+  }
+  return c;
+}
+
+/// The six protocols cheap enough to discharge conclusively in a test run,
+/// with their counts at jobs 1, workers 1, sweeps off. Every run completes,
+/// so the counts are machine-independent: a drift means the enumeration,
+/// the encoder or the solver changed its work. The category-(C) models
+/// (MMR14, Miller18, ABY22) need minutes-to-hours of enumeration, so
+/// SerialEquivalenceOnEveryRegistryProtocol covers them in a deterministic
+/// zero-budget regime instead.
+const std::map<std::string, Counts> kCompleteCounts = {
+    {"NaiveVoting", {19, 21, 156}},  {"Rabin83", {352, 352, 1720}},
+    {"CC85a", {288, 288, 1431}},     {"CC85b", {580, 580, 2569}},
+    {"FMR05", {288, 288, 1436}},     {"KS16", {1652, 1652, 7581}},
+};
+
 bool conclusively_cheap(const std::string& name) {
-  return name == "NaiveVoting" || name == "Rabin83" || name == "CC85a" ||
-         name == "CC85b" || name == "FMR05" || name == "KS16";
+  return kCompleteCounts.count(name) > 0;
 }
 
 TEST(ParallelPipeline, SerialEquivalenceOnEveryRegistryProtocol) {
@@ -84,14 +113,18 @@ TEST(ParallelPipeline, WorkersJobsMatrixEquivalence) {
   // Tentpole guarantee of the partitioned schema enumeration: rendered
   // reports — verdicts, counterexamples, nschemas — are byte-identical over
   // the full workers x jobs matrix, and so are the per-obligation solver
-  // statistics wherever the run completed. Sweeps are off (they never touch
-  // enumeration workers; the jobs dimension with sweeps is covered by
+  // statistics wherever the run completed; the workers-1 base reproduces
+  // the pinned counts. Sweeps are off (they never touch enumeration
+  // workers; the jobs dimension with sweeps is covered by
   // SerialEquivalenceOnEveryRegistryProtocol), and the expensive
   // category-(C) models run in the deterministic zero-budget regime.
   frontend::ProtocolRegistry registry =
       frontend::ProtocolRegistry::with_builtins();
   std::vector<std::string> names = registry.names();
   ASSERT_EQ(names.size(), 9u);
+  // Per-logical-worker unit counts at (jobs 1, workers 2), slot-summed
+  // over the four protocols with many small units.
+  std::vector<schema::CheckResult::WorkerStat> slots;
   for (const std::string& name : names) {
     protocols::ProtocolModel pm = registry.make(name);
     Options opts;
@@ -102,6 +135,10 @@ TEST(ParallelPipeline, WorkersJobsMatrixEquivalence) {
     ProtocolReport base = verify_protocol(pm, opts);
     std::string base_render = report_text(base);
     std::vector<long long> base_stats = complete_solver_stats(base);
+    if (conclusively_cheap(name)) {
+      EXPECT_EQ(kCompleteCounts.at(name), count_totals(base))
+          << name << ": schemas, queries, pivots";
+    }
     for (int workers : {1, 2, 8}) {
       for (int jobs : {1, 2, 8}) {
         if (workers == 1 && jobs == 1) continue;
@@ -112,9 +149,30 @@ TEST(ParallelPipeline, WorkersJobsMatrixEquivalence) {
             << name << " jobs=" << jobs << " workers=" << workers;
         EXPECT_EQ(base_stats, complete_solver_stats(r))
             << name << " jobs=" << jobs << " workers=" << workers;
+        if (jobs == 1 && workers == 2 &&
+            (name == "NaiveVoting" || name == "CC85a" || name == "CC85b" ||
+             name == "FMR05")) {
+          std::vector<schema::CheckResult::WorkerStat> ws = worker_stats(r);
+          slots.resize(std::max(slots.size(), ws.size()));
+          for (std::size_t w = 0; w < ws.size(); ++w) {
+            slots[w].units += ws[w].units;
+          }
+        }
       }
     }
   }
+  // Claim-index balance, max/mean over the two slots. The realized split
+  // depends on OS scheduling (worst on few-core machines, where one worker
+  // can drain the queue before its sibling is scheduled), so the ceiling
+  // is generous: it trips on starvation — 2.0 means one worker claimed
+  // everything — not on ordinary jitter.
+  ASSERT_EQ(slots.size(), 2u);
+  long long total = slots[0].units + slots[1].units;
+  ASSERT_GT(total, 0);
+  double imbalance =
+      2.0 * double(std::max(slots[0].units, slots[1].units)) / double(total);
+  EXPECT_LE(imbalance, 1.8) << "units per worker: " << slots[0].units << ", "
+                            << slots[1].units;
 }
 
 TEST(ParallelPipeline, CoreSkipPreservesReportBytesAndCutsQueries) {
@@ -135,20 +193,11 @@ TEST(ParallelPipeline, CoreSkipPreservesReportBytesAndCutsQueries) {
     opts.schema.core_skip = true;
     ProtocolReport skip = verify_protocol(pm, opts);
     EXPECT_EQ(report_text(full), report_text(skip)) << name;
-    for (const PropertyResult* p :
-         {&full.agreement, &full.validity, &full.termination}) {
-      for (const Obligation& o : p->obligations) {
-        q_full += o.nqueries;
-        p_full += o.npivots;
-      }
-    }
-    for (const PropertyResult* p :
-         {&skip.agreement, &skip.validity, &skip.termination}) {
-      for (const Obligation& o : p->obligations) {
-        q_skip += o.nqueries;
-        p_skip += o.npivots;
-      }
-    }
+    const Counts f = count_totals(full), k = count_totals(skip);
+    q_full += f[1];
+    p_full += f[2];
+    q_skip += k[1];
+    p_skip += k[2];
   }
   EXPECT_LE(q_skip, q_full);
   EXPECT_LE(p_skip, p_full);
@@ -199,6 +248,27 @@ TEST(ParallelPipeline, IncrementalEncoderMatchesFreshEncoder) {
     std::string incremental = report_text(verify_protocol(pm, opts));
     EXPECT_EQ(fresh, incremental) << name;
   }
+  // A budget-cut leg: at jobs 1 both encoders still see the same 50
+  // schemas per protocol and render the same cut. The warm encoder must
+  // not spend more pivots than the cold one; the 1.2 margin is there
+  // because a warm basis is not pointwise guaranteed to beat a cold one.
+  long long fresh_pivots = 0, incremental_pivots = 0;
+  for (const char* name : {"NaiveVoting", "CC85a", "KS16"}) {
+    protocols::ProtocolModel pm = registry.make(name);
+    Options opts;
+    opts.jobs = 1;
+    opts.run_sweeps = false;
+    opts.schema.max_schemas = 50;
+    opts.schema.incremental = false;
+    ProtocolReport fresh = verify_protocol(pm, opts);
+    opts.schema.incremental = true;
+    ProtocolReport incremental = verify_protocol(pm, opts);
+    EXPECT_EQ(report_text(fresh), report_text(incremental)) << name;
+    fresh_pivots += count_totals(fresh)[2];
+    incremental_pivots += count_totals(incremental)[2];
+  }
+  EXPECT_LE(double(incremental_pivots), 1.2 * double(fresh_pivots))
+      << "fresh " << fresh_pivots << ", incremental " << incremental_pivots;
 }
 
 TEST(ParallelPipeline, SharedPoolAsyncMatchesSerial) {

@@ -544,11 +544,11 @@ TEST(CheckSpec, ClaimIndexBalancesSkewedUnits) {
   // stuck on the giant first unit stops accumulating siblings and the
   // other drains the queue. The realized placement depends on OS
   // scheduling — on a single hardware thread it degenerates to
-  // {unit 0 | everything else} — so the tight ≤1.3 balance bound is
-  // asserted on the real protocols in BENCH_solver.json, and here we
-  // assert what holds under any schedule: byte identity, full attribution
-  // (every unit claimed exactly once), and the busiest worker bounded
-  // strictly away from starvation (2.0 with two slots) within a few
+  // {unit 0 | everything else} — so the ≤1.8 balance ceiling is asserted
+  // on the real protocols (ParallelPipeline.WorkersJobsMatrixEquivalence),
+  // and here we assert what holds under any schedule: byte identity, full
+  // attribution (every unit claimed exactly once), and the busiest worker
+  // bounded strictly away from starvation (2.0 with two slots) within a few
   // attempts.
   bool bounded = false;
   double best = 1e9;
