@@ -1,6 +1,7 @@
 #include "lia/linexpr.h"
 
 #include <stdexcept>
+#include <vector>
 
 namespace ctaver::lia {
 
@@ -10,42 +11,20 @@ LinExpr LinExpr::term(Var v, util::Rational coeff) {
   return e;
 }
 
-util::Rational LinExpr::coeff(Var v) const {
-  auto it = coeffs_.find(v);
-  return it == coeffs_.end() ? util::Rational(0) : it->second;
-}
-
-LinExpr& LinExpr::add_term(Var v, util::Rational c) {
-  if (c.is_zero()) return *this;
-  auto [it, inserted] = coeffs_.emplace(v, c);
-  if (!inserted) {
-    it->second += c;
-    if (it->second.is_zero()) coeffs_.erase(it);
-  }
+LinExpr& LinExpr::add_scaled(const LinExpr& o, const util::Rational& k) {
+  if (k.is_zero()) return *this;
+  constant_ += k * o.constant_;
+  if (o.coeffs_.empty()) return *this;
+  std::vector<SparseRow::Entry> scratch;
+  coeffs_.add_multiple(k, o.coeffs_, /*skip=*/-1, &scratch);
   return *this;
-}
-
-LinExpr& LinExpr::add_const(util::Rational c) {
-  constant_ += c;
-  return *this;
-}
-
-LinExpr LinExpr::operator+(const LinExpr& o) const {
-  LinExpr out = *this;
-  out.constant_ += o.constant_;
-  for (const auto& [v, c] : o.coeffs_) out.add_term(v, c);
-  return out;
-}
-
-LinExpr LinExpr::operator-(const LinExpr& o) const {
-  return *this + (o * util::Rational(-1));
 }
 
 LinExpr LinExpr::operator*(const util::Rational& k) const {
-  LinExpr out;
-  if (k.is_zero()) return out;
-  out.constant_ = constant_ * k;
-  for (const auto& [v, c] : coeffs_) out.coeffs_.emplace(v, c * k);
+  if (k.is_zero()) return LinExpr{};
+  LinExpr out = *this;
+  out.constant_ *= k;
+  out.coeffs_.scale(k);
   return out;
 }
 

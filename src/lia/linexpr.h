@@ -1,21 +1,16 @@
 // Sparse linear expressions and constraints over integer variables.
 //
-// These form the term language of the LIA solver (src/lia/solver.h) and of
-// threshold guards (src/ta/guard.h) after compilation. Variables are dense
-// integer ids handed out by the solver or by the encoding layer.
+// These form the term language of the LIA solver (src/lia/solver.h); the
+// schema checker (src/schema) builds its queries in it. Variables are dense
+// integer ids handed out by the solver. Terms live in a SparseRow, the
+// representation the solver's tableau rows use as well, and every in-place
+// operation keeps it sorted and zero-free.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <string>
-
+#include "lia/sparse_row.h"
 #include "util/rational.h"
 
 namespace ctaver::lia {
-
-/// Dense variable identifier. The owner of the id space (solver / encoder)
-/// defines what each id means.
-using Var = int;
 
 /// Sparse linear expression  sum_i coeff_i * x_i + constant.
 class LinExpr {
@@ -26,24 +21,39 @@ class LinExpr {
   /// Single-variable term `coeff * v`.
   static LinExpr term(Var v, util::Rational coeff = 1);
 
-  [[nodiscard]] const std::map<Var, util::Rational>& coeffs() const {
-    return coeffs_;
-  }
+  /// The nonzero terms, strictly ascending by variable.
+  [[nodiscard]] const SparseRow& coeffs() const { return coeffs_; }
   [[nodiscard]] const util::Rational& constant() const { return constant_; }
 
   /// Coefficient of `v` (zero if absent).
-  [[nodiscard]] util::Rational coeff(Var v) const;
+  [[nodiscard]] util::Rational coeff(Var v) const { return coeffs_.coeff(v); }
 
   /// Adds `c * v` to this expression (erasing the entry if it cancels).
-  LinExpr& add_term(Var v, util::Rational c);
-  LinExpr& add_const(util::Rational c);
+  LinExpr& add_term(Var v, const util::Rational& c) {
+    coeffs_.add(v, c);
+    return *this;
+  }
+  LinExpr& add_const(const util::Rational& c) {
+    constant_ += c;
+    return *this;
+  }
+  /// `*this += k * o` in place: one merge, no temporary expression.
+  LinExpr& add_scaled(const LinExpr& o, const util::Rational& k);
 
-  LinExpr operator+(const LinExpr& o) const;
-  LinExpr operator-(const LinExpr& o) const;
+  LinExpr operator+(const LinExpr& o) const {
+    LinExpr out = *this;
+    out += o;
+    return out;
+  }
+  LinExpr operator-(const LinExpr& o) const {
+    LinExpr out = *this;
+    out -= o;
+    return out;
+  }
   LinExpr operator*(const util::Rational& k) const;
   LinExpr operator-() const { return *this * util::Rational(-1); }
-  LinExpr& operator+=(const LinExpr& o) { return *this = *this + o; }
-  LinExpr& operator-=(const LinExpr& o) { return *this = *this - o; }
+  LinExpr& operator+=(const LinExpr& o) { return add_scaled(o, 1); }
+  LinExpr& operator-=(const LinExpr& o) { return add_scaled(o, -1); }
 
   [[nodiscard]] bool is_constant() const { return coeffs_.empty(); }
   bool operator==(const LinExpr& o) const = default;
@@ -56,23 +66,8 @@ class LinExpr {
     return acc;
   }
 
-  /// Human-readable form using `name(v)` for variable names.
-  template <typename NameFn>
-  [[nodiscard]] std::string str(NameFn&& name) const {
-    std::string out;
-    for (const auto& [v, c] : coeffs_) {
-      if (!out.empty()) out += " + ";
-      out += c.str() + "*" + name(v);
-    }
-    if (!constant_.is_zero() || out.empty()) {
-      if (!out.empty()) out += " + ";
-      out += constant_.str();
-    }
-    return out;
-  }
-
  private:
-  std::map<Var, util::Rational> coeffs_;
+  SparseRow coeffs_;
   util::Rational constant_;
 };
 
@@ -111,13 +106,6 @@ struct Constraint {
   ///   not(e <= 0)  ==  e >= 1;   not(e >= 0)  ==  e <= -1.
   /// Equalities cannot be negated into one linear constraint; callers split.
   [[nodiscard]] Constraint negate_int() const;
-
-  template <typename NameFn>
-  [[nodiscard]] std::string str(NameFn&& name) const {
-    const char* rel_s = rel == Rel::kLe ? " <= 0" : rel == Rel::kGe ? " >= 0"
-                                                                    : " == 0";
-    return expr.str(name) + rel_s;
-  }
 };
 
 }  // namespace ctaver::lia

@@ -34,7 +34,11 @@ int Solver::alloc_internal(std::optional<Rational> lb,
   ub_.push_back(std::move(ub));
   beta_.push_back(std::move(init));
   row_of_.push_back(-1);
-  cols_.emplace_back();
+  if (static_cast<std::size_t>(iv) < cols_.size()) {
+    cols_[static_cast<std::size_t>(iv)].clear();
+  } else {
+    cols_.emplace_back();
+  }
   owner_.push_back(-1);
   return iv;
 }
@@ -183,6 +187,11 @@ void Solver::add(Constraint c) {
   }
   int s = alloc_internal(std::move(slb), std::move(sub));
   SparseRow row;
+  if (!spare_rows_.empty()) {
+    row = std::move(spare_rows_.back());
+    spare_rows_.pop_back();
+    row.clear();
+  }
   row.reserve(c.expr.coeffs().size());
   Rational val(0);
   // expr.coeffs() is ordered by external id and ext2int_ is monotone, so the
@@ -295,7 +304,6 @@ void Solver::pop_to(Checkpoint cp) {
   ub_.resize(static_cast<std::size_t>(scope.n_internal));
   beta_.resize(static_cast<std::size_t>(scope.n_internal));
   row_of_.resize(static_cast<std::size_t>(scope.n_internal));
-  cols_.resize(static_cast<std::size_t>(scope.n_internal));
   owner_.resize(static_cast<std::size_t>(scope.n_internal));
   ext2int_.resize(static_cast<std::size_t>(scope.n_external));
 }
@@ -330,8 +338,8 @@ void Solver::remove_constraint_row(int s) {
   row_of_[static_cast<std::size_t>(s)] = -1;
   int last = static_cast<int>(rows_.size()) - 1;
   if (r != last) {
-    rows_[static_cast<std::size_t>(r)] =
-        std::move(rows_[static_cast<std::size_t>(last)]);
+    std::swap(rows_[static_cast<std::size_t>(r)],
+              rows_[static_cast<std::size_t>(last)]);
     basic_var_[static_cast<std::size_t>(r)] =
         basic_var_[static_cast<std::size_t>(last)];
     row_of_[static_cast<std::size_t>(
@@ -340,6 +348,7 @@ void Solver::remove_constraint_row(int s) {
     // become stale and are dropped lazily.
     index_row_vars(r, rows_[static_cast<std::size_t>(r)]);
   }
+  spare_rows_.push_back(std::move(rows_.back()));
   rows_.pop_back();
   basic_var_.pop_back();
   row_sweep_.pop_back();
@@ -391,14 +400,15 @@ void Solver::pivot_rows(int r, int xn) {
 
   // Rewrite row r to express xn:  xn = (xb - sum_{j != n} c_j x_j) / a.
   Rational inv_a = Rational(1) / a;
-  SparseRow new_row;
+  SparseRow& new_row = pivot_scratch_;
+  new_row.clear();
   new_row.reserve(pivot_row.size());
   for (const auto& [v, c] : pivot_row) {
     if (v == xn) continue;
     new_row.push_back(v, -(c * inv_a));
   }
   new_row.add(xb, inv_a);
-  pivot_row = std::move(new_row);
+  std::swap(pivot_row, new_row);  // the old row's buffer serves the next pivot
   basic_var_[static_cast<std::size_t>(r)] = xn;
   row_of_[static_cast<std::size_t>(xn)] = r;
   row_of_[static_cast<std::size_t>(xb)] = -1;

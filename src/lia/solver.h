@@ -232,7 +232,8 @@ class Solver {
   // the variable and validated lazily: each sweep drops entries whose row
   // no longer contains the variable (or vanished) and deduplicates via a
   // per-row generation stamp. Invariant: every row currently containing iv
-  // is listed in cols_[iv].
+  // is listed in cols_[iv]. pop_to does not shrink cols_: lists past the
+  // live ids are kept for their buffers and cleared when an id is reused.
   std::vector<std::vector<int>> cols_;
   std::vector<unsigned> row_sweep_;  // row index -> last sweep stamp
   unsigned sweep_stamp_ = 0;
@@ -256,6 +257,8 @@ class Solver {
   std::vector<int> heap_;
   std::vector<SparseRow::Entry> scratch_;  // merge buffer for row updates
   std::vector<Var> scratch_vars_;          // new-entry buffer for the index
+  SparseRow pivot_scratch_;                // rewrite buffer of pivot_rows
+  std::vector<SparseRow> spare_rows_;      // buffers of rows pop_to removed
 
   std::vector<util::Int128> model_;
   bool core_valid_ = false;  // see conflict_core_valid()

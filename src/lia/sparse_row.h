@@ -1,10 +1,10 @@
-// Sorted sparse vector of (variable, coefficient) pairs — the tableau row
-// representation of the incremental simplex core (src/lia/solver.h).
-//
-// Rows were previously std::map<Var, Rational>; a sorted std::vector halves
-// the memory per entry, keeps iteration cache-friendly (the inner loops of
-// pivoting walk whole rows), and makes the row-combination kernel a linear
-// two-pointer merge instead of a tree walk with per-node allocations.
+// Sorted sparse vector of (variable, coefficient) pairs: the one sparse
+// representation of src/lia. The simplex tableau keeps each row in one
+// (src/lia/solver.h), and lia::LinExpr keeps its terms in one
+// (src/lia/linexpr.h). Entries are strictly ascending by variable and never
+// zero, so Solver::add copies a constraint's terms into a new tableau row in
+// order, with push_back alone. Iteration walks contiguous memory, and
+// combining two rows is a linear two-pointer merge.
 #pragma once
 
 #include <algorithm>
@@ -15,7 +15,9 @@
 
 namespace ctaver::lia {
 
-using Var = int;  // mirrors lia/linexpr.h (kept here to avoid the include)
+/// Dense variable identifier. The owner of the id space (solver / encoder)
+/// defines what each id means.
+using Var = int;
 
 class SparseRow {
  public:

@@ -250,7 +250,7 @@ class Encoder {
     // shared levels below it, re-encode everything from there in one scope.
     int d = two_cuts ? std::min(cut1, cut2) : cut1;
     sync_levels(flips, static_cast<std::size_t>(d));
-    Snapshot snap = snapshot(inc_);
+    const Mark before = mark(inc_);
     Solver::Checkpoint cp = inc_.solver.push();
     inc_.marker_cons = -1;
     inc_.marker_var = -1;
@@ -268,7 +268,7 @@ class Encoder {
           inc_.solver.core_max_var() < inc_.marker_var;
     }
     inc_.solver.pop_to(cp);
-    restore(inc_, snap);
+    rewind(inc_, before);
     if (res == Result::kUnknown) {
       *unknown = true;
       return false;
@@ -386,9 +386,22 @@ class Encoder {
     int segment;
   };
 
+  /// One edit of emit_part to the rolling emission state: batch variable
+  /// `x` entered kappa[slot] or gval[slot] with coefficient `c`, or
+  /// reachable[slot] turned on.
+  struct Edit {
+    enum class Kind : char { kKappa, kGval, kReach };
+    Kind kind = Kind::kReach;
+    int slot = -1;
+    lia::Var x = -1;
+    long long c = 0;
+  };
+
   /// One constraint system under construction: the solver plus the rolling
   /// symbolic state of the emission (counter and shared-variable
-  /// expressions, location reachability, recorded batches).
+  /// expressions, location reachability, recorded batches) and the trail
+  /// of edits that rewinds that state, last in first out, as the solver's
+  /// own trail rewinds the tableau.
   struct Model {
     Solver solver;
     std::vector<lia::Var> pv;       // parameter variables
@@ -397,6 +410,7 @@ class Encoder {
     std::vector<LinExpr> gval;      // current shared-variable values
     std::vector<char> reachable;    // cumulative location reachability
     std::vector<BatchVar> batches;
+    std::vector<Edit> trail;        // emit_part's edits since the prelude
     /// Constraint and internal-variable counts at the moment the conclusion
     /// witness of the query being emitted was asserted (-1 before that
     /// point): the emission-divergence markers the sibling-cut-placement
@@ -405,11 +419,11 @@ class Encoder {
     int marker_var = -1;
   };
 
-  /// Rolling emission state at a segment boundary (everything needed to
-  /// rewind a Model after popping solver scopes back to that boundary).
-  struct Snapshot {
-    std::vector<LinExpr> kappa, gval;
-    std::vector<char> reachable;
+  /// Position of the emission state at a segment boundary: rewinding to it
+  /// undoes every edit and batch emitted since, after the solver scopes have
+  /// been popped back to that boundary.
+  struct Mark {
+    std::size_t trail = 0;
     std::size_t nbatches = 0;
   };
 
@@ -423,7 +437,7 @@ class Encoder {
     int marker_cons = -1;
     int marker_var = -1;
     Solver::Checkpoint cp;
-    Snapshot before;
+    Mark before;
   };
 
   [[nodiscard]] int gloc(bool coin, ta::LocId l) const {
@@ -443,7 +457,7 @@ class Encoder {
   [[nodiscard]] LinExpr lhs_expr(const Model& m, const ta::Guard& g) const {
     LinExpr out;
     for (const auto& [v, b] : g.lhs) {
-      out += m.gval[static_cast<std::size_t>(v)] * Rational(b);
+      out.add_scaled(m.gval[static_cast<std::size_t>(v)], Rational(b));
     }
     return out;
   }
@@ -515,7 +529,7 @@ class Encoder {
         }
         lia::Var v = m.solver.new_var(0);
         m.kappa[static_cast<std::size_t>(gloc(coin, l))] = LinExpr::term(v);
-        sum += LinExpr::term(v);
+        sum.add_term(v, 1);
         any = true;
         m.reachable[static_cast<std::size_t>(gloc(coin, l))] = 1;
       }
@@ -545,18 +559,16 @@ class Encoder {
   void emit_part(Model& m, int segment) {
     for (const RuleView& rv : *rules_) {
       if (!allowed(rv, segment)) continue;
-      if (!m.reachable[static_cast<std::size_t>(
-              gloc(rv.id.coin, rv.rule->from))]) {
-        continue;
-      }
-      m.reachable[static_cast<std::size_t>(
-          gloc(rv.id.coin, rv.rule->to.dirac_target()))] = 1;
+      const int from = gloc(rv.id.coin, rv.rule->from);
+      const int to = gloc(rv.id.coin, rv.rule->to.dirac_target());
+      if (!m.reachable[static_cast<std::size_t>(from)]) continue;
+      reach(m, to);
       lia::Var x = m.solver.new_var(0, kBatchCap);
       m.batches.push_back({x, &rv, segment});
       // Token availability before the batch.
-      LinExpr& from =
-          m.kappa[static_cast<std::size_t>(gloc(rv.id.coin, rv.rule->from))];
-      m.solver.add(Constraint::ge0(from - LinExpr::term(x)));
+      LinExpr avail = m.kappa[static_cast<std::size_t>(from)];
+      avail.add_term(x, -1);
+      m.solver.add(Constraint::ge0(std::move(avail)));
       // Falling guards: exact conditional check via big-M.
       for (int gi : rv.falling) {
         const GuardInfo& info = table_->guards[static_cast<std::size_t>(gi)];
@@ -566,37 +578,53 @@ class Encoder {
           delta += b * rv.rule->update_of(v);
         }
         lia::Var used = m.solver.new_var(0, 1);
-        m.solver.add(Constraint::le0(
-            LinExpr::term(x) - LinExpr::term(used, Rational(kBatchCap))));
+        LinExpr fires = LinExpr::term(x);  // x <= kBatchCap * used
+        fires.add_term(used, -kBatchCap);
+        m.solver.add(Constraint::le0(std::move(fires)));
         // lhs_before + delta*(x-1) <= rhs - 1 + BigM*(1-used)
-        LinExpr lhs = lhs_expr(m, info.guard) +
-                      LinExpr::term(x, Rational(delta)) -
-                      LinExpr(Rational(delta));
-        LinExpr relax = pexpr(m, info.guard.rhs) - LinExpr(Rational(1)) +
-                        LinExpr(Rational(kBigM)) -
-                        LinExpr::term(used, Rational(kBigM));
-        m.solver.add(Constraint::le(lhs, relax));
+        LinExpr e = lhs_expr(m, info.guard);
+        e.add_term(x, delta).add_const(-delta);
+        e -= pexpr(m, info.guard.rhs);
+        e.add_const(1 - kBigM).add_term(used, kBigM);
+        m.solver.add(Constraint::le0(std::move(e)));
       }
       // Apply the batch.
-      from -= LinExpr::term(x);
-      m.kappa[static_cast<std::size_t>(
-          gloc(rv.id.coin, rv.rule->to.dirac_target()))] += LinExpr::term(x);
+      shift(m, Edit::Kind::kKappa, from, x, -1);
+      shift(m, Edit::Kind::kKappa, to, x, 1);
       for (ta::VarId v = 0; v < static_cast<ta::VarId>(sys_->vars.size());
            ++v) {
         long long u = rv.rule->update_of(v);
-        if (u != 0) {
-          m.gval[static_cast<std::size_t>(v)] += LinExpr::term(x, Rational(u));
-        }
+        if (u != 0) shift(m, Edit::Kind::kGval, v, x, u);
       }
     }
+  }
+
+  static std::vector<LinExpr>& exprs(Model& m, Edit::Kind kind) {
+    return kind == Edit::Kind::kKappa ? m.kappa : m.gval;
+  }
+
+  /// kappa[slot] or gval[slot] += c * x, recorded on the trail.
+  static void shift(Model& m, Edit::Kind kind, int slot, lia::Var x,
+                    long long c) {
+    exprs(m, kind)[static_cast<std::size_t>(slot)].add_term(x, Rational(c));
+    m.trail.push_back({kind, slot, x, c});
+  }
+
+  /// Marks location `slot` reachable, recorded on the trail if it was not.
+  static void reach(Model& m, int slot) {
+    char& r = m.reachable[static_cast<std::size_t>(slot)];
+    if (r) return;
+    r = 1;
+    m.trail.push_back({Edit::Kind::kReach, slot});
   }
 
   /// Milestone flip after a segment: the guard's lhs has crossed its
   /// threshold at this boundary (rising: becomes true; falling: locked).
   void milestone(Model& m, int guard) {
     const GuardInfo& info = table_->guards[static_cast<std::size_t>(guard)];
-    m.solver.add(
-        Constraint::ge(lhs_expr(m, info.guard), pexpr(m, info.guard.rhs)));
+    LinExpr e = lhs_expr(m, info.guard);
+    e -= pexpr(m, info.guard.rhs);
+    m.solver.add(Constraint::ge0(std::move(e)));
   }
 
   void witness(Model& m, const spec::LocSet& set) {
@@ -604,7 +632,8 @@ class Encoder {
     for (const auto& [coin, l] : set.locs) {
       sum += m.kappa[static_cast<std::size_t>(gloc(coin, l))];
     }
-    m.solver.add(Constraint::ge(sum, LinExpr(Rational(1))));
+    sum.add_const(-1);
+    m.solver.add(Constraint::ge0(std::move(sum)));
   }
 
   /// Emits segment `s` with whatever witness cuts land in it, then the
@@ -640,15 +669,25 @@ class Encoder {
     if (s < nseg - 1) milestone(m, flips[s]);
   }
 
-  [[nodiscard]] static Snapshot snapshot(const Model& m) {
-    return {m.kappa, m.gval, m.reachable, m.batches.size()};
+  [[nodiscard]] static Mark mark(const Model& m) {
+    return {m.trail.size(), m.batches.size()};
   }
 
-  static void restore(Model& m, const Snapshot& snap) {
-    m.kappa = snap.kappa;
-    m.gval = snap.gval;
-    m.reachable = snap.reachable;
-    m.batches.resize(snap.nbatches);
+  /// Undoes the edits past `to`, newest first. A batch variable is newer
+  /// than every other term of the expressions it joins, so undoing a shift
+  /// touches only the last entry of its expression.
+  static void rewind(Model& m, Mark to) {
+    while (m.trail.size() > to.trail) {
+      const Edit& e = m.trail.back();
+      const std::size_t slot = static_cast<std::size_t>(e.slot);
+      if (e.kind == Edit::Kind::kReach) {
+        m.reachable[slot] = 0;
+      } else {
+        exprs(m, e.kind)[slot].add_term(e.x, Rational(-e.c));
+      }
+      m.trail.pop_back();
+    }
+    m.batches.resize(to.nbatches);
   }
 
   /// Makes the asserted level stack equal flips[0..upto): pops levels past
@@ -662,13 +701,13 @@ class Encoder {
     }
     if (levels_.size() > common) {
       inc_.solver.pop_to(levels_[common].cp);
-      restore(inc_, levels_[common].before);
+      rewind(inc_, levels_[common].before);
       levels_.resize(common);
     }
     for (std::size_t k = common; k < upto; ++k) {
       Level lv;
       lv.guard = flips[k];
-      lv.before = snapshot(inc_);
+      lv.before = mark(inc_);
       lv.cp = inc_.solver.push();
       emit_part(inc_, static_cast<int>(k));
       lv.marker_cons = static_cast<int>(inc_.solver.constraints().size());
@@ -888,12 +927,13 @@ struct PrefixItem {
 };
 
 /// One enumeration unit: the breadth-first exploration of one milestone-
-/// prefix subtree with its own warm incremental solver (the prelude plus
-/// the root's scopes are replayed on construction via the encoder's level
-/// sync), advanced one level at a time so a worker interleaves its units in
-/// canonical level order. Unit 0 — the stem — starts at the empty prefix,
-/// stops below the split depth, and exports the surviving split-depth
-/// prefixes as the roots of units 1..K.
+/// prefix subtree with its own warm incremental solver (built when a worker
+/// adopts the unit: the prelude, then the root's scopes replayed by the
+/// encoder's level sync; freed when the unit is done), advanced one level
+/// at a time so a worker interleaves its units in canonical level order.
+/// Unit 0 — the stem — starts at the empty prefix, stops below the split
+/// depth, and exports the surviving split-depth prefixes as the roots of
+/// units 1..K.
 class SubtreeRun {
  public:
   SubtreeRun(EnumContext& cx, std::size_t index, std::vector<int> root,
@@ -909,17 +949,15 @@ class SubtreeRun {
     cancel_.failed = &cx.failed;
     cancel_.extra = cx.opts->extra_cancel;
     cancel_.self_key = order_key(depth_, index_);
-    encoder_ = std::make_unique<Encoder>(*cx.sys, *cx.table, *cx.rules,
-                                         *cx.opts, &cancel_);
     cur_.push_back({std::move(root), 0});
   }
 
   [[nodiscard]] bool active() const { return active_; }
   [[nodiscard]] std::size_t index() const { return index_; }
   /// Cumulative simplex pivots spent by this unit's warm solver (root-scope
-  /// replay included). A unit is run by exactly one worker, so this
-  /// attributes cleanly to CheckResult::per_worker.
-  [[nodiscard]] long long pivots_total() const { return encoder_->pivots(); }
+  /// replay included) through its last level. A unit is run by exactly one
+  /// worker, so this attributes cleanly to CheckResult::per_worker.
+  [[nodiscard]] long long pivots_total() const { return pivot_mark_; }
   [[nodiscard]] bool unknown_at_or_below(int cutoff) const {
     return unknown_depth_ >= 0 && unknown_depth_ <= cutoff;
   }
@@ -946,12 +984,15 @@ class SubtreeRun {
   void advance_level() {
     if (!active_) return;
     // First advance = this worker thread adopting the unit: the unit was
-    // constructed on the obligation thread, but all its solving happens
-    // here, so per-thread adoption counts measure worker imbalance.
+    // constructed on the obligation thread, but its encoder is built and
+    // all its solving happens here, so per-thread adoption counts measure
+    // worker imbalance.
     if (!adopted_) {
       adopted_ = true;
       util::fault_point("schema.unit_adopt");
       obs::add(obs::Counter::kSchemaUnits);
+      encoder_ = std::make_unique<Encoder>(*cx_->sys, *cx_->table,
+                                           *cx_->rules, *cx_->opts, &cancel_);
     }
     obs::add(obs::Counter::kSchemaUnitLevels);
     obs::Span span("unit");
@@ -980,7 +1021,12 @@ class SubtreeRun {
     cur_ = std::move(next_);
     next_.clear();
     ++depth_;
-    if (stopped_ || cur_.empty()) active_ = false;
+    if (stopped_ || cur_.empty()) {
+      // Done: the merge reads only the tallies, so the warm solver goes now
+      // rather than living on until every unit of the check has finished.
+      active_ = false;
+      encoder_.reset();
+    }
   }
 
  private:
@@ -1180,7 +1226,7 @@ class SubtreeRun {
   std::vector<std::vector<int>>* overflow_;
 
   UnitCancel cancel_;
-  std::unique_ptr<Encoder> encoder_;
+  std::unique_ptr<Encoder> encoder_;  // from adoption until the unit is done
   std::vector<PrefixItem> cur_, next_;
   long long next_group_ = 1;
 

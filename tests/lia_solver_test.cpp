@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <vector>
+
 namespace ctaver::lia {
 namespace {
 
@@ -23,6 +27,137 @@ TEST(LinExpr, TermAlgebra) {
   e.add_term(0, Rational(-2));
   EXPECT_EQ(e.coeff(0), Rational(0));
   EXPECT_EQ(e.coeffs().size(), 1u);
+}
+
+/// A LinExpr's reference model: nonzero coefficients by variable, plus the
+/// constant.
+struct MapExpr {
+  std::map<Var, Rational> terms;
+  Rational constant;
+
+  void add_term(Var v, const Rational& c) {
+    Rational& slot = terms[v];
+    slot += c;
+    if (slot.is_zero()) terms.erase(v);
+  }
+  void add_scaled(const MapExpr& o, const Rational& k) {
+    MapExpr src = o;  // o may be *this
+    for (const auto& [v, c] : src.terms) add_term(v, k * c);
+    constant += k * src.constant;
+  }
+};
+
+::testing::AssertionResult matches(const LinExpr& e, const MapExpr& m) {
+  std::vector<SparseRow::Entry> got(e.coeffs().begin(), e.coeffs().end());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].second.is_zero()) {
+      return ::testing::AssertionFailure()
+             << "zero coefficient kept for x" << got[i].first;
+    }
+    if (i > 0 && got[i - 1].first >= got[i].first) {
+      return ::testing::AssertionFailure()
+             << "x" << got[i - 1].first << " listed before x" << got[i].first;
+    }
+  }
+  std::vector<SparseRow::Entry> want(m.terms.begin(), m.terms.end());
+  if (got != want) {
+    return ::testing::AssertionFailure()
+           << got.size() << " terms, the model has " << want.size();
+  }
+  if (e.constant() != m.constant) {
+    return ::testing::AssertionFailure()
+           << "constant " << e.constant() << ", the model has " << m.constant;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(LinExpr, MatchesMapModelUnderRandomSteps) {
+  // Seeded random add_term, +=, -=, +, -, * k and add_scaled(·, k) steps,
+  // applied to a LinExpr and to its map model alike. Eight variables and coefficients in [-2, 2]
+  // make cancellations to zero frequent; k = 0 and fractional k are drawn
+  // too, and so is an expression combined with itself. After every step,
+  // coeffs() must list exactly the model's nonzero terms in strictly
+  // ascending order: the order Solver::add builds tableau rows in.
+  std::mt19937 rng(20261018);
+  auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  const Rational ks[] = {Rational(-2), Rational(-1), Rational(0),
+                         Rational(1),  Rational(2),  Rational(1, 2),
+                         Rational(-3, 2)};
+  for (int walk = 0; walk < 40; ++walk) {
+    LinExpr e;
+    MapExpr m;
+    for (int step = 0; step < 150; ++step) {
+      // A fresh random operand, built term by term and checked as well.
+      LinExpr o(Rational(pick(-3, 3)));
+      MapExpr om;
+      om.constant = o.constant();
+      for (int n = pick(0, 5); n > 0; --n) {
+        Var v = pick(0, 7);
+        Rational c(pick(-2, 2));
+        o.add_term(v, c);
+        om.add_term(v, c);
+      }
+      ASSERT_TRUE(matches(o, om)) << "operand, walk " << walk;
+      const bool self = pick(0, 9) == 0;
+      const Rational k = ks[pick(0, 6)];
+      const int op = pick(0, 6);
+      switch (op) {
+        case 0: {
+          Var v = pick(0, 7);
+          Rational c(pick(-2, 2));
+          e.add_term(v, c);
+          m.add_term(v, c);
+          break;
+        }
+        case 1:
+          if (self) {
+            e += e;
+            m.add_scaled(m, Rational(1));
+          } else {
+            e += o;
+            m.add_scaled(om, Rational(1));
+          }
+          break;
+        case 2:
+          if (self) {
+            e -= e;
+            m.add_scaled(m, Rational(-1));
+          } else {
+            e -= o;
+            m.add_scaled(om, Rational(-1));
+          }
+          break;
+        case 3:
+          e = e + o;
+          m.add_scaled(om, Rational(1));
+          break;
+        case 4:
+          e = e - o;
+          m.add_scaled(om, Rational(-1));
+          break;
+        case 5: {
+          e = e * k;
+          MapExpr scaled;
+          scaled.add_scaled(m, k);
+          m = scaled;
+          break;
+        }
+        case 6:
+          if (self) {
+            e.add_scaled(e, k);
+            m.add_scaled(m, k);
+          } else {
+            e.add_scaled(o, k);
+            m.add_scaled(om, k);
+          }
+          break;
+      }
+      ASSERT_TRUE(matches(e, m))
+          << "walk " << walk << ", step " << step << ", op " << op;
+    }
+  }
 }
 
 TEST(LinExpr, Eval) {
