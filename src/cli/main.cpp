@@ -10,7 +10,6 @@
 // Protocol arguments are resolved through frontend::ProtocolRegistry, so
 // built-ins and spec files are interchangeable everywhere.
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <csignal>
@@ -32,10 +31,8 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "sim/attack.h"
-#include "svc/client.h"
 #include "svc/journal.h"
 #include "svc/proof_cache.h"
-#include "svc/server.h"
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/logging.h"
@@ -67,15 +64,6 @@ int usage(std::ostream& os, int code) {
         "                     attack sketches executed\n"
         "  hash SPEC...       print each planned obligation's content-\n"
         "                     addressed cache key (the proof cache's key)\n"
-        "  serve              run the verification daemon on --socket;\n"
-        "                     accepts line-delimited JSON submissions and\n"
-        "                     streams verdict events; SIGTERM drains cleanly\n"
-        "  submit SPEC...     submit specs to a running daemon and block for\n"
-        "                     the streamed verdicts (same exit codes as\n"
-        "                     verify); paths are shipped as inline text\n"
-        "  stats              print the daemon's stats event (submissions,\n"
-        "                     cache hits/misses/stores, embedded metrics)\n"
-        "  shutdown           ask the daemon on --socket to drain and exit\n"
         "\n"
         "SPEC is a registered protocol name or a path to a .cta file.\n"
         "\n"
@@ -97,7 +85,7 @@ int usage(std::ostream& os, int code) {
         "  --only-obligations a,b,...\n"
         "                     verify: discharge only the named obligations\n"
         "                     (unknown names are a positioned error, exit 2)\n"
-        "  --cache-dir DIR    content-addressed proof cache (verify, serve):\n"
+        "  --cache-dir DIR    content-addressed proof cache (verify, table2):\n"
         "                     complete verdicts are stored under their\n"
         "                     obligation keys and replayed byte-identically\n"
         "                     on later runs; corrupt entries degrade to\n"
@@ -109,18 +97,6 @@ int usage(std::ostream& os, int code) {
         "                     byte-identical to an uninterrupted run. Exits\n"
         "                     2 if the journal's unfinished run was started\n"
         "                     with different specs/options\n"
-        "  --socket PATH      daemon socket (serve, submit, shutdown;\n"
-        "                     default /tmp/ctaverd.sock)\n"
-        "  --connect-timeout S\n"
-        "                     client connect deadline, seconds (submit,\n"
-        "                     stats, shutdown; default 5; 0 = forever)\n"
-        "  --io-timeout S     per-read/-write deadline, seconds: client ops\n"
-        "                     (default 30; 0 = forever) and, on serve, the\n"
-        "                     daemon's per-connection read/write deadlines\n"
-        "  --retries N        client transport-failure retries with capped\n"
-        "                     exponential backoff + jitter (default 2; all\n"
-        "                     ops are idempotent — submit is content-\n"
-        "                     addressed)\n"
         "\n"
         "fault containment (see the README's Failure containment section):\n"
         "  --max-rss-mb N     RSS watchdog: once resident memory exceeds N\n"
@@ -160,8 +136,7 @@ int usage(std::ostream& os, int code) {
         "                     stdout instead)\n"
         "  --metrics-json FILE\n"
         "                     like --metrics but always JSON, '-' included\n"
-        "                     (the machine-readable face; the daemon's\n"
-        "                     stats event embeds the same dump)\n"
+        "                     (the machine-readable face)\n"
         "  --progress         live progress line on stderr\n"
         "  --log-level L      debug|info|warn|error (default warn)\n";
   return code;
@@ -183,12 +158,8 @@ struct Args {
   std::vector<std::string> fault_inject;  // --fault-inject plans (repeatable)
   std::vector<std::vector<long long>> sweep_override;
   std::vector<std::string> only_obligations;  // --only-obligations (comma'd)
-  std::string cache_dir;     // --cache-dir: on-disk proof cache (verify/serve)
+  std::string cache_dir;     // --cache-dir: on-disk proof cache (verify/table2)
   bool resume = false;       // --resume: journal-driven crash recovery
-  double connect_timeout = -1;  // --connect-timeout (-1: keep the default)
-  double io_timeout = -1;       // --io-timeout (-1: keep the defaults)
-  int retries = -1;             // --retries (-1: keep the default)
-  std::string socket_path = "/tmp/ctaverd.sock";  // --socket (daemon cmds)
   std::string trace_path;    // --trace: Chrome trace-event JSON output
   std::string metrics_path;  // --metrics: registry JSON ('-': table, stdout)
   std::string metrics_json_path;  // --metrics-json: always JSON, '-' = stdout
@@ -223,9 +194,6 @@ const std::map<std::string, NumberField> kNumberFlags = {
     {"--workers", &Args::workers},
     {"--max-rss-mb", &Args::max_rss_mb},
     {"--obligation-timeout", &Args::obligation_timeout},
-    {"--connect-timeout", &Args::connect_timeout},
-    {"--io-timeout", &Args::io_timeout},
-    {"--retries", &Args::retries},
 };
 
 bool parse_sweep(const std::string& s, std::vector<long long>& out) {
@@ -275,10 +243,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = value();
       if (v == nullptr) return false;
       args.cache_dir = v;
-    } else if (a == "--socket") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      args.socket_path = v;
     } else if (a == "--only-obligations") {
       const char* v = value();
       if (v == nullptr) return false;
@@ -785,62 +749,6 @@ int cmd_hash(const ProtocolRegistry& registry, const Args& args) {
   return 0;
 }
 
-/// SIGTERM (the daemon's drain signal): one relaxed store the accept loop
-/// polls every 200 ms; in-flight submissions finish streaming before run()
-/// returns.
-std::atomic<bool> g_sigterm{false};
-void handle_sigterm(int) { g_sigterm.store(true, std::memory_order_relaxed); }
-
-int cmd_serve(const Args& args) {
-  ctaver::svc::ServeOptions so;
-  so.socket_path = args.socket_path;
-  so.specs_dir = args.specs_dir;
-  so.cache_dir = args.cache_dir;
-  so.verify = base_options(args);
-  so.verify.replay_ce = args.replay_ce;
-  so.stop_flag = &g_sigterm;
-  // --io-timeout on serve arms the daemon's per-connection deadlines (both
-  // directions); the write deadline keeps its stuck-reader default
-  // otherwise.
-  if (args.io_timeout >= 0) {
-    so.read_timeout_s = args.io_timeout;
-    so.write_timeout_s = args.io_timeout;
-  }
-  // The stats event reads the metrics registry, so the daemon always
-  // collects (out-of-band: verdict bytes are unaffected).
-  ctaver::obs::Registry::global().set_enabled(true);
-  std::signal(SIGTERM, &handle_sigterm);
-  ctaver::svc::Server server(std::move(so));
-  std::string err;
-  if (!server.start(&err)) {
-    std::cerr << "ctaver: serve: " << err << "\n";
-    return 2;
-  }
-  // Restart recovery: report what the journal replayed — the proofs of the
-  // journaled completions are in the cache, so an unfinished submission's
-  // resubmission re-proves only what never landed durable.
-  if (const ctaver::svc::Journal* j = server.journal();
-      j != nullptr && j->ok()) {
-    const ctaver::svc::JournalStats& js = j->stats();
-    if (js.replayed > 0 || js.truncated_bytes > 0) {
-      std::cerr << "ctaver: journal recovered: " << js.replayed
-                << " record(s), " << j->unfinished_runs()
-                << " unfinished submission(s)";
-      if (js.truncated_bytes > 0) {
-        std::cerr << " (" << js.truncated_bytes << " torn byte(s) truncated)";
-      }
-      std::cerr << "\n";
-    }
-  }
-  std::cerr << "ctaver: serving on " << args.socket_path
-            << (args.cache_dir.empty() ? std::string()
-                                       : " (cache " + args.cache_dir + ")")
-            << "\n";
-  server.run();
-  std::cerr << "ctaver: daemon drained\n";
-  return 0;
-}
-
 int dispatch(const Args& args) {
   try {
     ProtocolRegistry registry = ProtocolRegistry::with_builtins();
@@ -852,26 +760,6 @@ int dispatch(const Args& args) {
     }
     if (args.command == "check") return cmd_check(registry, args);
     if (args.command == "hash") return cmd_hash(registry, args);
-    if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "submit" || args.command == "stats" ||
-        args.command == "shutdown") {
-      ctaver::svc::ClientOptions copts;
-      if (args.connect_timeout >= 0) copts.connect_timeout_s =
-          args.connect_timeout;
-      if (args.io_timeout >= 0) copts.io_timeout_s = args.io_timeout;
-      if (args.retries >= 0) copts.retries = args.retries;
-      if (args.command == "submit") {
-        if (args.protocols.empty()) return usage(std::cerr, 2);
-        return ctaver::svc::submit_specs(args.socket_path, args.protocols,
-                                         std::cout, std::cerr, copts);
-      }
-      if (args.command == "stats") {
-        return ctaver::svc::request_stats(args.socket_path, std::cout,
-                                          std::cerr, copts);
-      }
-      return ctaver::svc::request_shutdown(args.socket_path, std::cerr,
-                                           copts);
-    }
     if (args.command == "table2") {
       std::vector<std::string> protocols = args.protocols;
       if (protocols.empty()) {

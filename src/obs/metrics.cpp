@@ -44,8 +44,6 @@ const char* counter_name(Counter c) {
     case Counter::kFaultInjections: return "fault.injections";
     case Counter::kWatchdogMemoryCuts: return "watchdog.memory_cuts";
     case Counter::kWatchdogTimeoutCuts: return "watchdog.timeout_cuts";
-    case Counter::kSvcSubmissions: return "svc.submissions";
-    case Counter::kSvcRetries: return "svc.retries";
     case Counter::kJournalRecords: return "journal.records";
     case Counter::kJournalReplayed: return "journal.replayed";
     case Counter::kJournalTruncatedBytes: return "journal.truncated_bytes";

@@ -64,8 +64,6 @@ enum class Counter : int {
   kFaultInjections,     // fault.injections: armed fault plans fired
   kWatchdogMemoryCuts,  // watchdog.memory_cuts: RSS guard budget trips
   kWatchdogTimeoutCuts, // watchdog.timeout_cuts: per-obligation deadlines
-  kSvcSubmissions,      // svc.submissions: daemon spec submissions accepted
-  kSvcRetries,          // svc.retries: client reconnect/backoff attempts
   kJournalRecords,      // journal.records: records appended (fsync'd)
   kJournalReplayed,     // journal.replayed: intact records replayed at open
   kJournalTruncatedBytes,  // journal.truncated_bytes: torn tail dropped

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -62,7 +63,7 @@ Journal::Journal(const std::string& dir) {
   // journal.
   fsync_dir(dir);
   // The lock serializes the scan-and-truncate against a concurrent writer
-  // (e.g. a daemon already journaling into this cache dir).
+  // (another ctaver process journaling into this cache dir).
   while (::flock(fd_, LOCK_EX) != 0 && errno == EINTR) {
   }
   recover();
@@ -165,13 +166,6 @@ bool Journal::append(const std::string& payload) {
   if (ok) {
     ++stats_.appended;
     obs::add(obs::Counter::kJournalRecords);
-    // Mirror the durable record into the live view, so queries on this
-    // handle (the daemon's stats, a resume check) see it without a reopen.
-    try {
-      live_.push_back(Json::parse(payload));
-    } catch (const std::exception&) {
-      // Not query-relevant then; the bytes are on disk regardless.
-    }
   }
   return ok;
 }
@@ -205,40 +199,28 @@ void Journal::run_end(const std::string& run_id, int exit_code) {
 
 bool Journal::scan_kind_run(const char* kind,
                             const std::string& run_id) const {
-  for (const std::vector<Json>* recs : {&replayed_, &live_}) {
-    for (const Json& r : *recs) {
-      if (r.get("rec") == kind && r.get("run") == run_id) return true;
-    }
+  for (const Json& r : replayed_) {
+    if (r.get("rec") == kind && r.get("run") == run_id) return true;
   }
   return false;
 }
 
 bool Journal::run_started(const std::string& run_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return scan_kind_run("run-start", run_id);
 }
 
 bool Journal::run_finished(const std::string& run_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return scan_kind_run("run-end", run_id);
 }
 
 std::size_t Journal::unfinished_runs() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> open;  // distinct: a re-run re-starts the same id
-  for (const std::vector<Json>* recs : {&replayed_, &live_}) {
-    for (const Json& r : *recs) {
-      if (r.get("rec") != "run-start") continue;
-      const std::string run = r.get("run");
-      if (scan_kind_run("run-end", run)) continue;
-      bool seen = false;
-      for (const std::string& o : open) {
-        if (o == run) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) open.push_back(run);
+  for (const Json& r : replayed_) {
+    if (r.get("rec") != "run-start") continue;
+    const std::string run = r.get("run");
+    if (scan_kind_run("run-end", run)) continue;
+    if (std::find(open.begin(), open.end(), run) == open.end()) {
+      open.push_back(run);
     }
   }
   return open.size();
@@ -246,20 +228,12 @@ std::size_t Journal::unfinished_runs() const {
 
 std::vector<std::string> Journal::run_obligations(
     const std::string& run_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> keys;
-  for (const std::vector<Json>* recs : {&replayed_, &live_}) {
-    for (const Json& r : *recs) {
-      if (r.get("rec") != "obligation" || r.get("run") != run_id) continue;
-      const std::string key = r.get("key");
-      bool seen = false;
-      for (const std::string& k : keys) {
-        if (k == key) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) keys.push_back(key);
+  for (const Json& r : replayed_) {
+    if (r.get("rec") != "obligation" || r.get("run") != run_id) continue;
+    const std::string key = r.get("key");
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      keys.push_back(key);
     }
   }
   return keys;

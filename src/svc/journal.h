@@ -2,7 +2,7 @@
 //
 // The ProofCache is the single durable proof store — every complete verdict
 // already survives a crash as a content-addressed entry. What a crash loses
-// is the *run bookkeeping*: which submission was in flight, which of its
+// is the *run bookkeeping*: which run was in flight, which of its
 // obligations had already landed durable, and whether it finished. The
 // journal records exactly that, as an append-only, fsync'd, per-record-
 // checksummed log (`journal.log` in the cache directory):
@@ -13,7 +13,7 @@
 // Record payloads are flat one-line JSON objects (parsed back with
 // svc::Json) of three kinds:
 //
-//   {"rec":"run-start","run":ID,"kind":"verify"|"submit","name":N,"total":T}
+//   {"rec":"run-start","run":ID,"kind":"verify","name":N,"total":T}
 //   {"rec":"obligation","run":ID,"name":N,"key":K,"cached":B}
 //   {"rec":"obligation" ...}               one per durable completion; "key"
 //                                          is the ProofCache key the verdict
@@ -93,12 +93,11 @@ class Journal {
                        const std::string& key, bool cached);
   void run_end(const std::string& run_id, int exit_code);
 
-  // -- queries (over the replayed records PLUS this handle's appends, so a
-  // -- live daemon's view stays current; thread-safe) ----------------------
+  // -- queries (over the records replayed at open only: this handle's own
+  // -- appends show up on the next open) ----------------------------------
   [[nodiscard]] bool run_started(const std::string& run_id) const;
   [[nodiscard]] bool run_finished(const std::string& run_id) const;
-  /// run-start records with no matching run-end: the runs a crash cut
-  /// short (plus, on a live handle, runs currently in flight).
+  /// run-start records with no matching run-end: the runs a crash cut short.
   [[nodiscard]] std::size_t unfinished_runs() const;
   /// Distinct ProofCache keys journaled as durable completions of `run_id`.
   [[nodiscard]] std::vector<std::string> run_obligations(
@@ -108,7 +107,6 @@ class Journal {
 
  private:
   void recover();  // open-time scan; caller holds the file lock
-  /// Query core over replayed_ + live_; caller holds mu_.
   [[nodiscard]] bool scan_kind_run(const char* kind,
                                    const std::string& run_id) const;
 
@@ -116,9 +114,8 @@ class Journal {
   std::string path_;
   std::string error_;
   std::vector<Json> replayed_;
-  std::vector<Json> live_;  // parsed records appended by this handle
   JournalStats stats_;
-  mutable std::mutex mu_;
+  std::mutex mu_;  // serializes this handle's appends
 };
 
 /// Deterministic run identity: sha256 over the run's canonical obligation

@@ -1,9 +1,9 @@
-// Minimal JSON for the ctaverd wire protocol (line-delimited JSON over a
-// local socket, README "Verification service"). Parsing covers full JSON
-// (objects, arrays, strings with escapes, numbers, booleans, null); writing
-// is done by hand at the call sites with obs::json_escape — the protocol's
-// events are flat objects, so a DOM writer would be dead weight. The parser
-// doubles as the validity oracle for to_json outputs in tests.
+// Minimal JSON reader: the run journal (src/svc/journal) parses its
+// records back with it. Parsing covers full JSON (objects, arrays, strings
+// with escapes, numbers, booleans, null); writing is done by hand at the
+// call sites with obs::json_escape — journal records are flat objects, so a
+// DOM writer would be dead weight. The parser doubles as the validity
+// oracle for to_json outputs in tests.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +15,7 @@
 namespace ctaver::svc {
 
 /// Parsed JSON value. Object member order is not preserved (std::map) —
-/// fine for the protocol, which addresses members by name.
+/// fine for journal records, whose members are addressed by name.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

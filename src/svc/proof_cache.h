@@ -11,7 +11,7 @@
 //  - in-memory map (always on), mutex-guarded;
 //  - optional disk directory (one file per key, versioned header + payload
 //    sha256). Any mismatch — bad header, wrong key, short read, checksum —
-//    degrades to a miss and bumps cache.corrupt; the daemon never trusts a
+//    degrades to a miss and bumps cache.corrupt; a lookup never trusts a
 //    corrupt entry and never fails on one.
 //
 // Only COMPLETE, error-free verdicts are stored (an incomplete verdict is a
@@ -47,7 +47,7 @@ class ProofCache {
 
   /// Stores payload under key (memory + disk when configured). Disk writes
   /// go through a temp file + fsync + rename + parent-dir fsync, so a
-  /// crashed (or SIGKILLed, or power-lost) daemon leaves either the old
+  /// crashed (or SIGKILLed, or power-lost) process leaves either the old
   /// entry or the new one, never a torn or named-but-empty file.
   void store(const std::string& key, const std::string& payload);
 

@@ -1,5 +1,5 @@
 // Wall-clock stopwatch, and the seconds-to-duration conversion every
-// deadline and poll timeout goes through.
+// deadline goes through.
 #pragma once
 
 #include <chrono>
@@ -19,8 +19,6 @@ template <typename Duration>
   }
   return Duration(static_cast<typename Duration::rep>(ticks));
 }
-
-using PollMillis = std::chrono::duration<int, std::milli>;  // poll(2) timeout
 
 /// Monotonic stopwatch; starts on construction.
 class Stopwatch {

@@ -1,4 +1,4 @@
-// Content addressing for the proof cache (`ctaver serve` / `--cache-dir`):
+// Content addressing for the proof cache (`--cache-dir`, `ctaver hash`):
 // a deterministic canonical serializer for lowered models and specs, and the
 // per-obligation cache-key derivation built on it.
 //

@@ -445,12 +445,8 @@ struct ProtocolRun::Impl {
   // One budget for the whole protocol: --time-budget / --max-schemas trip
   // every in-flight sibling via the shared cancel token. The deadline arms
   // itself when the first task starts, so a protocol queued behind its
-  // siblings on a shared pool loses nothing while waiting. When the caller
-  // provided an external budget (opts.schema.budget — how the daemon funds
-  // one budget per *submission* across its per-obligation runs), `bud`
-  // points there instead and the owned budget sits idle.
+  // siblings on a shared pool loses nothing while waiting.
   schema::SharedBudget budget;
-  schema::SharedBudget* bud = nullptr;
   schema::CheckOptions task_opts;
   std::vector<std::function<void()>> tasks;
   util::TaskGroup group;
@@ -464,9 +460,7 @@ struct ProtocolRun::Impl {
       : pm(pm_in),
         opts(opts_in),
         budget(opts_in.schema.max_schemas, opts_in.schema.time_budget_s,
-               opts_in.schema.max_rss_mb) {
-    bud = opts.schema.budget != nullptr ? opts.schema.budget : &budget;
-  }
+               opts_in.schema.max_rss_mb) {}
 
   void plan_all() {
     if (obs::trace_enabled()) proto_start_ns = obs::now_ns();
@@ -575,7 +569,7 @@ struct ProtocolRun::Impl {
     }
 
     task_opts = opts.schema;
-    task_opts.budget = bud;
+    task_opts.budget = &budget;
     if (opts.cache != nullptr) {
       compute_cache_keys();
       probe_cache();
@@ -610,11 +604,11 @@ struct ProtocolRun::Impl {
           // would cancel innocent siblings and change their report bytes.
           std::optional<TaskDeadline> dl;
           try {
-            if (!bud->exhausted()) {  // else the slot stays inconclusive
+            if (!budget.exhausted()) {  // else the slot stays inconclusive
               t.started = true;
               schema::CheckOptions topts = task_opts;
               if (opts.obligation_timeout_s > 0) {
-                dl.emplace(*bud, opts.obligation_timeout_s);
+                dl.emplace(budget, opts.obligation_timeout_s);
                 topts.extra_cancel = &*dl;
               }
               t.result = schema::check_spec(*t.sys, t.spec, topts);
@@ -668,15 +662,15 @@ struct ProtocolRun::Impl {
             // cancelled on their behalf.
             std::optional<TaskDeadline> dl;
             try {
-              if (!bud->exhausted()) {
+              if (!budget.exhausted()) {
                 inst.started = true;
                 // The budget itself is the cancel source (wrapped by the
                 // per-obligation deadline when one is set), so a long
                 // state-graph build notices an expired deadline, not just a
                 // tripped flag.
-                const util::CancelSource* cs = bud;
+                const util::CancelSource* cs = &budget;
                 if (opts.obligation_timeout_s > 0) {
-                  dl.emplace(*bud, opts.obligation_timeout_s);
+                  dl.emplace(budget, opts.obligation_timeout_s);
                   cs = &*dl;
                 }
                 bool ok = t.check(*t.sys, t.pm->sweep_params[i],
@@ -769,7 +763,7 @@ struct ProtocolRun::Impl {
   /// in-flight ones, which reference this Impl.
   void abandon() {
     if (!finished) {
-      bud->cancel.cancel();
+      budget.cancel.cancel();
       group.wait();
     }
   }
@@ -826,7 +820,7 @@ struct ProtocolRun::Impl {
       if (o.run_state == Obligation::RunState::kCancelled ||
           o.run_state == Obligation::RunState::kSkipped) {
         o.cut_reason = t.timed_out ? "obligation-timeout"
-                                   : bud->reason_str();
+                                   : budget.reason_str();
       }
       if (t.timed_out) obs::add(obs::Counter::kWatchdogTimeoutCuts);
       // Table-II time columns come from the scheduler-side task timer, so
@@ -852,7 +846,7 @@ struct ProtocolRun::Impl {
         o.cached = true;  // journaled at probe time, like parametric hits
         continue;
       }
-      merge_sweep(t, *bud);
+      merge_sweep(t, budget);
       const Obligation& o = t.prop->obligations[t.slot];
       if (opts.cache != nullptr && o.complete && !o.error) {
         opts.cache->store(t.cache_key,
@@ -876,7 +870,7 @@ struct ProtocolRun::Impl {
     }
     if (cancelled + skipped > 0) {
       CTAVER_LOG(kInfo) << pm.name << ": budget exhausted after "
-                        << bud->used() << " schema charge(s) — "
+                        << budget.used() << " schema charge(s) — "
                         << cancelled << " obligation(s) cut mid-run, "
                         << skipped << " never started";
     }
@@ -884,7 +878,7 @@ struct ProtocolRun::Impl {
       CTAVER_LOG(kWarn) << pm.name << ": " << errored
                         << " obligation(s) hit a contained internal error";
     }
-    if (bud->reason() == schema::SharedBudget::CutReason::kMemory) {
+    if (budget.reason() == schema::SharedBudget::CutReason::kMemory) {
       obs::add(obs::Counter::kWatchdogMemoryCuts);
     }
     obs::add(obs::Counter::kVerifyProtocols);
@@ -932,7 +926,7 @@ ProtocolRun verify_protocol_async(const protocols::ProtocolModel& pm,
   // the pool's width instead of multiplying it.
   run.impl_->task_opts.pool = &pool;
   for (auto& task : run.impl_->tasks) {
-    pool.submit(task, run.impl_->bud->cancel, &run.impl_->group);
+    pool.submit(task, run.impl_->budget.cancel, &run.impl_->group);
   }
   return run;
 }

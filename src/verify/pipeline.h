@@ -108,8 +108,7 @@ struct Options {
 /// obligation task (or a schema subtree unit) was caught at the task
 /// boundary and classified here — the run completes, sibling obligations'
 /// report bytes are untouched, and `ctaver` exits 3 instead of aborting.
-/// The `ctaver serve` daemon streams such an obligation with verdict
-/// `error` (src/svc/server.cpp).
+/// report_text renders it as a `contained error:` line (error_brief).
 struct ObligationError {
   /// "injected-fault" (util::InjectedFault), "bad-alloc", "exception"
   /// (any other std::exception), or "unknown".
@@ -241,10 +240,10 @@ std::vector<ObligationKey> obligation_cache_keys(
     const protocols::ProtocolModel& pm, const Options& opts = {});
 
 /// The canonical per-obligation verdict line (no indentation, no trailing
-/// newline) — shared by report_text and the daemon's event stream, so a
-/// streamed verdict is byte-identical to the CLI's. run_state suffixes and
-/// cut reasons render only for incomplete obligations, keeping the line
-/// stable across scheduling for complete runs.
+/// newline) — report_text renders each obligation with it, and ctabench
+/// compares obligations by it. run_state suffixes and cut reasons render
+/// only for incomplete obligations, keeping the line stable across
+/// scheduling for complete runs.
 std::string obligation_line(const Obligation& o);
 
 /// One-line brief of a contained error: `kind=K [site=S ]what=W`.

@@ -51,7 +51,16 @@ expect 0 verify CC85a --time-budget 1e10 --obligation-timeout 1e10
 expect 1 verify "$root/specs/naive_voting.cta"
 expect 2 bogus-command
 expect 2 verify CC85a --bogus-option
+# Removed commands and flags are usage errors, never silently ignored.
 expect 2 verify CC85a --static-partition
+expect 2 serve
+expect 2 submit NaiveVoting
+expect 2 stats
+expect 2 shutdown
+expect 2 verify CC85a --socket /tmp/x
+expect 2 verify CC85a --retries 1
+expect 2 verify CC85a --io-timeout 1
+expect 2 verify CC85a --connect-timeout 1
 expect 2 verify CC85a --quiet
 expect 2 verify CC85a --fault-inject bogus:1:throw
 expect 2 verify CC85a --jobs 2x

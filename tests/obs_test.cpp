@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "svc/json.h"
 #include "util/logging.h"
 #include "util/stderr_gate.h"
 
@@ -131,6 +132,19 @@ TEST_F(RegistryTest, JsonDumpCarriesEverySection) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"per_thread\""), std::string::npos);
   EXPECT_NE(json.find("\"solver.pivots\": 42"), std::string::npos);
+}
+
+// --metrics-json's contract: the dump is valid JSON with the expected
+// sections — svc::Json's parser is the oracle.
+TEST_F(RegistryTest, MetricsSnapshotSerializesToValidJson) {
+  add(Counter::kCacheHits, 3);
+  svc::Json v = svc::Json::parse(Registry::global().snapshot().to_json());
+  EXPECT_TRUE(v.is_object());
+  EXPECT_TRUE(v["counters"].is_object());
+  EXPECT_TRUE(v["gauges"].is_object());
+  EXPECT_TRUE(v["histograms"].is_object());
+  EXPECT_TRUE(v["per_thread"].is_array());
+  EXPECT_EQ(v["counters"]["cache.hits"].as_int(), 3);
 }
 
 TEST(RegistryDisabled, EventsAreDropped) {

@@ -4,7 +4,8 @@
 // disk entries degrading to misses, and the tentpole guarantee — a warm
 // resubmission of an edited spec re-proves only the obligations whose
 // lowered automaton changed, with report bytes identical to a cold run for
-// every (jobs x workers) combination.
+// every (jobs x workers) combination, also when several runs share one
+// pool and one disk cache.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,6 +20,7 @@
 #include "frontend/registry.h"
 #include "svc/proof_cache.h"
 #include "util/hash.h"
+#include "util/thread_pool.h"
 #include "verify/pipeline.h"
 
 namespace ctaver {
@@ -517,6 +519,44 @@ TEST(PipelineCache, ReplayedCounterexampleReplaysByteIdentically) {
   EXPECT_FALSE(o.replay.empty());
   EXPECT_EQ(o.replay, cold.agreement.obligations.front().replay);
   EXPECT_EQ(o.replay_ok, cold.agreement.obligations.front().replay_ok);
+}
+
+// Several protocol runs on one shared pool probe, store into and hit one
+// disk cache at the same time — what `ctaver verify NaiveVoting NaiveVoting
+// --jobs 4 --cache-dir D` does through run_protocols. Runs under TSan.
+TEST(PipelineCache, ConcurrentRunsOnOnePoolShareOneDiskCache) {
+  protocols::ProtocolModel pm = builtin("NaiveVoting");
+  const std::string cold =
+      verify::report_text(verify::verify_protocol(pm, {}));
+  TempDir dir;
+  svc::ProofCache cache(dir.path().string());
+  verify::Options opts;
+  opts.cache = &cache;
+  {
+    util::ThreadPool pool(4);
+    std::vector<verify::ProtocolRun> runs;
+    for (int i = 0; i < 4; ++i) {
+      runs.push_back(verify::verify_protocol_async(pm, opts, pool));
+    }
+    for (verify::ProtocolRun& run : runs) {
+      EXPECT_EQ(verify::report_text(run.finish()), cold);
+    }
+  }
+  // Every run probes all 6 keys; which probes hit depends on timing.
+  svc::CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits + s.misses, 24u);
+  EXPECT_GE(s.stores, 6u);
+  EXPECT_EQ(s.corrupt, 0u);
+
+  // A fresh handle starts with an empty memory layer, so every hit below is
+  // read from what the racing runs left on disk.
+  svc::ProofCache fresh(dir.path().string());
+  verify::Options warm;
+  warm.cache = &fresh;
+  EXPECT_EQ(verify::report_text(verify::verify_protocol(pm, warm)), cold);
+  EXPECT_EQ(fresh.stats().hits, 6u);
+  EXPECT_EQ(fresh.stats().misses, 0u);
+  EXPECT_EQ(fresh.stats().corrupt, 0u);
 }
 
 TEST(Pipeline, UnknownOnlyObligationNameThrows) {

@@ -1,4 +1,5 @@
-// The durable run journal (src/svc/journal): append/replay round-trips,
+// The durable run journal (src/svc/journal) and svc::Json, the reader it
+// parses its records back with: append/replay round-trips,
 // torn-tail and checksum-corruption truncation, wholesale reset of alien
 // files, run-identity determinism, the degradation contract (an unusable
 // journal never fails a run), and the pipeline integration — every durable
@@ -18,6 +19,7 @@
 
 #include "frontend/registry.h"
 #include "svc/journal.h"
+#include "svc/json.h"
 #include "svc/proof_cache.h"
 #include "util/hash.h"
 #include "verify/pipeline.h"
@@ -68,6 +70,24 @@ std::vector<verify::ObligationKey> naive_keys() {
   return verify::obligation_cache_keys(builtin("NaiveVoting"));
 }
 
+TEST(SvcJson, ParsesTheWireShapes) {
+  Json v = Json::parse(
+      R"({"event":"obligation","nschemas":42,"cached":true,)"
+      R"("line":"Inv1(v=0): FAIL [parametric] 4 schemas",)"
+      R"("nested":{"a":[1,2.5,-3],"b":null},"esc":"a\"b\\c\nA"})");
+  EXPECT_TRUE(v.is_object());
+  EXPECT_EQ(v.get("event"), "obligation");
+  EXPECT_EQ(v["nschemas"].as_int(), 42);
+  EXPECT_TRUE(v["cached"].as_bool());
+  EXPECT_EQ(v["nested"]["a"].size(), 3u);
+  EXPECT_EQ(v["nested"]["a"].at(1).as_number(), 2.5);
+  EXPECT_TRUE(v["nested"]["b"].is_null());
+  EXPECT_EQ(v["esc"].as_string(), "a\"b\\c\nA");
+  EXPECT_THROW(Json::parse("{\"a\":}"), std::runtime_error);
+  EXPECT_THROW(Json::parse("[1,2] trailing"), std::runtime_error);
+  EXPECT_THROW(Json::parse(""), std::runtime_error);
+}
+
 TEST(Journal, CreatesHeaderAndAppendsSurviveReopen) {
   TempDir dir;
   std::string run;
@@ -80,8 +100,6 @@ TEST(Journal, CreatesHeaderAndAppendsSurviveReopen) {
     j.obligation_done(run, "Inv1(v=0)", std::string(64, 'a'), false);
     j.obligation_done(run, "C1", std::string(64, 'b'), true);
     EXPECT_EQ(j.stats().appended, 3u);
-    EXPECT_TRUE(j.run_started(run));
-    EXPECT_FALSE(j.run_finished(run));
   }
   // Fresh handle: the header line plus three checksummed records replay.
   Journal j2(dir.str());
@@ -105,7 +123,7 @@ TEST(Journal, CreatesHeaderAndAppendsSurviveReopen) {
 TEST(Journal, RecordFormatIsChecksummedOneLineJson) {
   TempDir dir;
   Journal j(dir.str());
-  j.run_start("deadbeef", "submit", "P", 2);
+  j.run_start("deadbeef", "verify", "P", 2);
   std::string bytes = read_file(dir.log());
   std::istringstream is(bytes);
   std::string header, record;
