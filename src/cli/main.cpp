@@ -541,6 +541,14 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
   return code;
 }
 
+/// A flag `command` would otherwise drop silently: a usage error (exit 2)
+/// with a one-line reason.
+int unsupported(const char* command, const char* flag, const char* why) {
+  std::cerr << "ctaver: " << command << " does not take " << flag << " ("
+            << why << ")\n";
+  return 2;
+}
+
 const ctaver::verify::Obligation* find_obligation(
     const ctaver::verify::ProtocolReport& r, const std::string& name) {
   for (const ctaver::verify::PropertyResult* prop :
@@ -558,6 +566,16 @@ const ctaver::verify::Obligation* find_obligation(
 /// exhaustion on an expected-holds obligation is a skip (the verdict did
 /// not flip); everything else that disagrees is a failure.
 int cmd_check(const ProtocolRegistry& registry, const Args& args) {
+  if (!args.cache_dir.empty()) {
+    return unsupported("check", "--cache-dir", "it proves every verdict");
+  }
+  if (args.resume) {
+    return unsupported("check", "--resume", "it keeps no journal");
+  }
+  if (!args.only_obligations.empty()) {
+    return unsupported("check", "--only-obligations",
+                       "it discharges each spec's expect block");
+  }
   std::vector<std::string> protocols = args.protocols;
   if (protocols.empty()) protocols = registry.names();
   if (protocols.empty()) return usage(std::cerr, 2);
@@ -728,6 +746,10 @@ int cmd_check(const ProtocolRegistry& registry, const Args& args) {
 /// is the cache's own derivation path), so the output answers "would this
 /// edit invalidate that obligation?" by diffing two hash runs.
 int cmd_hash(const ProtocolRegistry& registry, const Args& args) {
+  if (!args.cache_dir.empty()) {
+    return unsupported("hash", "--cache-dir", "it reads no cache");
+  }
+  if (args.resume) return unsupported("hash", "--resume", "it proves nothing");
   std::vector<std::string> protocols = args.protocols;
   if (protocols.empty()) {
     if (args.specs_dir.empty()) return usage(std::cerr, 2);

@@ -8,7 +8,6 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "lia/solver.h"
 #include "obs/metrics.h"
@@ -1363,24 +1362,21 @@ CheckResult check_spec(const ta::System& sys, const spec::Spec& spec,
     };
     if (workers <= 1) {
       run_worker(0);
-    } else if (opts.pool != nullptr) {
+    } else {
       // Nested-parallelism spill: the enumeration workers run as tasks on
-      // the caller's pool, and this (obligation) thread acts as worker 0,
-      // then drains its own remaining tasks instead of parking — total
-      // thread count stays at the pool's width, never jobs × workers.
-      util::TaskGroup group;
+      // the caller's pool (a standalone call gets a private one), and this
+      // (obligation) thread acts as worker 0, then drains its own remaining
+      // tasks instead of parking — total thread count stays at the pool's
+      // width, never jobs × workers.
+      util::TaskGroup group;  // declared first: outlives a private pool
+      std::optional<util::ThreadPool> own;
+      util::ThreadPool& pool =
+          opts.pool != nullptr ? *opts.pool : own.emplace(workers - 1);
       for (int w = 1; w < workers; ++w) {
-        opts.pool->submit([&run_worker, w] { run_worker(w); },
-                          util::CancelToken{}, &group);
+        pool.submit([&run_worker, w] { run_worker(w); }, {}, &group);
       }
       run_worker(0);
-      opts.pool->run_group(group);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(workers - 1));
-      for (int w = 1; w < workers; ++w) threads.emplace_back(run_worker, w);
-      run_worker(0);
-      for (std::thread& t : threads) t.join();
+      pool.run_group(group);
     }
     for (std::exception_ptr& e : errors) {
       if (e) std::rethrow_exception(e);

@@ -241,10 +241,11 @@ struct CheckOptions {
   /// `incremental` (the fresh-encoder baseline never skips).
   bool core_skip = true;
   /// Pool to run the enumeration workers on (not owned; may be null, in
-  /// which case workers > 1 spawns private threads). The calling thread
-  /// always acts as worker 0 and, with a pool, drains its own enumeration
-  /// tasks while waiting — so an obligation task blocked on its subtrees
-  /// spills into enumeration work instead of oversubscribing the machine.
+  /// which case workers > 1 builds a private pool of workers - 1 threads
+  /// for this call). The calling thread always acts as worker 0 and drains
+  /// its own enumeration tasks while waiting — so an obligation task
+  /// blocked on its subtrees spills into enumeration work instead of
+  /// oversubscribing the machine.
   util::ThreadPool* pool = nullptr;
   /// Optional budget shared with sibling obligations. When set, max_schemas
   /// and time_budget_s above are ignored in favour of the shared pool, and

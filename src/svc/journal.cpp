@@ -197,9 +197,18 @@ void Journal::run_end(const std::string& run_id, int exit_code) {
   append(os.str());
 }
 
+std::size_t Journal::last_start(const std::string& run_id) const {
+  for (std::size_t i = replayed_.size(); i-- > 0;) {
+    const Json& r = replayed_[i];
+    if (r.get("rec") == "run-start" && r.get("run") == run_id) return i;
+  }
+  return 0;
+}
+
 bool Journal::scan_kind_run(const char* kind,
                             const std::string& run_id) const {
-  for (const Json& r : replayed_) {
+  for (std::size_t i = last_start(run_id); i < replayed_.size(); ++i) {
+    const Json& r = replayed_[i];
     if (r.get("rec") == kind && r.get("run") == run_id) return true;
   }
   return false;
@@ -218,7 +227,7 @@ std::size_t Journal::unfinished_runs() const {
   for (const Json& r : replayed_) {
     if (r.get("rec") != "run-start") continue;
     const std::string run = r.get("run");
-    if (scan_kind_run("run-end", run)) continue;
+    if (run_finished(run)) continue;
     if (std::find(open.begin(), open.end(), run) == open.end()) {
       open.push_back(run);
     }
@@ -229,7 +238,8 @@ std::size_t Journal::unfinished_runs() const {
 std::vector<std::string> Journal::run_obligations(
     const std::string& run_id) const {
   std::vector<std::string> keys;
-  for (const Json& r : replayed_) {
+  for (std::size_t i = last_start(run_id); i < replayed_.size(); ++i) {
+    const Json& r = replayed_[i];
     if (r.get("rec") != "obligation" || r.get("run") != run_id) continue;
     const std::string key = r.get("key");
     if (std::find(keys.begin(), keys.end(), key) == keys.end()) {

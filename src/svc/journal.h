@@ -74,7 +74,6 @@ class Journal {
   /// is then a no-op returning false and the run proceeds unjournaled.
   [[nodiscard]] bool ok() const { return fd_ >= 0; }
   [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
 
   /// The records that survived the open-time scan, in file order.
   [[nodiscard]] const std::vector<Json>& replayed() const { return replayed_; }
@@ -94,10 +93,14 @@ class Journal {
   void run_end(const std::string& run_id, int exit_code);
 
   // -- queries (over the records replayed at open only: this handle's own
-  // -- appends show up on the next open) ----------------------------------
+  // -- appends show up on the next open). A run id names the same run each
+  // -- time its command line is re-run, so each query reads an id's
+  // -- records from its last run-start on: a killed re-run of a run that
+  // -- once finished is unfinished, and only its own obligations count. ---
   [[nodiscard]] bool run_started(const std::string& run_id) const;
   [[nodiscard]] bool run_finished(const std::string& run_id) const;
-  /// run-start records with no matching run-end: the runs a crash cut short.
+  /// Run ids whose last run-start has no run-end after it: the runs a
+  /// crash cut short.
   [[nodiscard]] std::size_t unfinished_runs() const;
   /// Distinct ProofCache keys journaled as durable completions of `run_id`.
   [[nodiscard]] std::vector<std::string> run_obligations(
@@ -107,6 +110,9 @@ class Journal {
 
  private:
   void recover();  // open-time scan; caller holds the file lock
+  /// Index of `run_id`'s last run-start in replayed_ (0 if it has none).
+  [[nodiscard]] std::size_t last_start(const std::string& run_id) const;
+  /// A `kind` record of `run_id` at or after its last run-start.
   [[nodiscard]] bool scan_kind_run(const char* kind,
                                    const std::string& run_id) const;
 

@@ -57,7 +57,6 @@ class ProofCache {
   void invalidate(const std::string& key);
 
   [[nodiscard]] CacheStats stats() const;
-  [[nodiscard]] const std::string& disk_dir() const { return disk_dir_; }
 
  private:
   std::optional<std::string> disk_lookup(const std::string& key);

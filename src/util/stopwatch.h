@@ -33,9 +33,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed time in milliseconds.
-  [[nodiscard]] double millis() const { return seconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

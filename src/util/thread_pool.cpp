@@ -54,31 +54,9 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::submit(Task fn, CancelToken token) {
-  Item it;
-  it.fn = std::move(fn);
-  it.token = std::move(token);
-  it.has_token = true;
-  enqueue(std::move(it));
-}
-
-void ThreadPool::submit(Task fn) {
-  Item it;
-  it.fn = std::move(fn);
-  enqueue(std::move(it));
-}
-
 void ThreadPool::submit(Task fn, CancelToken token, TaskGroup* group) {
-  Item it;
-  it.fn = std::move(fn);
-  it.token = std::move(token);
-  it.has_token = true;
-  it.group = group;
   if (group != nullptr) group->add_one();
-  enqueue(std::move(it));
-}
-
-void ThreadPool::enqueue(Item it) {
+  Item it{std::move(fn), std::move(token), group};
   std::size_t victim;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -177,7 +155,7 @@ void ThreadPool::finish_one() {
 
 void ThreadPool::execute(Item& it, std::size_t worker) {
   // A task whose token tripped while queued is skipped, not run.
-  if (!it.has_token || !it.token.cancelled()) {
+  if (!it.token.cancelled()) {
     run_.fetch_add(1, std::memory_order_relaxed);
     if (worker != SIZE_MAX) {
       worker_run_[worker].fetch_add(1, std::memory_order_relaxed);

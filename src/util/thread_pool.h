@@ -2,10 +2,10 @@
 //
 // Tasks are distributed round-robin over per-worker deques; an idle worker
 // first drains its own deque (FIFO), then steals from the back of its
-// siblings' deques. Each task carries an optional CancelToken: a task whose
-// token is already cancelled when it is dequeued is skipped (counted as
-// done, never run), which is how a tripped time/schema budget discards the
-// queued remainder of a verification run in O(1) per task.
+// siblings' deques. Each task carries a CancelToken: a task whose token is
+// already cancelled when it is dequeued is skipped (counted as done, never
+// run), which is how a tripped time/schema budget discards the queued
+// remainder of a verification run in O(1) per task.
 //
 // The pool is a building block, not a scheduler singleton: no global
 // mutable state exists and independent pools do not interact. Several
@@ -62,15 +62,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues a task. If `token` is cancelled before the task is dequeued,
-  /// the task is dropped without running. Tasks must not throw; wrap bodies
-  /// that can (the pipeline stores exceptions per result slot so the
-  /// canonically-first one is rethrown deterministically).
-  void submit(Task fn, CancelToken token);
-  void submit(Task fn);
-  /// As above, additionally tagging the task with `group` (not owned; must
-  /// outlive the task) so the submitter can TaskGroup::wait() on its own
-  /// tasks while other clients keep using the pool.
-  void submit(Task fn, CancelToken token, TaskGroup* group);
+  /// the task is dropped without running (a default token never is). A
+  /// non-null `group` (not owned; must outlive the task) tags the task so
+  /// the submitter can TaskGroup::wait() on its own tasks while other
+  /// clients keep using the pool. Tasks must not throw; wrap bodies that
+  /// can (the pipeline parks each exception on its own task's slot).
+  void submit(Task fn, CancelToken token = {}, TaskGroup* group = nullptr);
 
   /// Blocks until every task submitted so far has run or been skipped.
   /// The pool stays usable for further submit() rounds afterwards.
@@ -115,7 +112,6 @@ class ThreadPool {
   struct Item {
     Task fn;
     CancelToken token;
-    bool has_token = false;
     TaskGroup* group = nullptr;
   };
   struct WorkerQueue {
@@ -124,7 +120,6 @@ class ThreadPool {
     std::size_t max_depth = 0;  // guarded by mu
   };
 
-  void enqueue(Item it);
   void worker_loop(std::size_t self);
   bool try_pop(std::size_t self, Item& out);
   bool try_pop_group(const TaskGroup* group, Item& out);

@@ -169,8 +169,8 @@ using SweepCheckFn = bool (*)(const ta::System&,
 
 /// Per-obligation deadline (Options::obligation_timeout_s): a CancelSource
 /// that combines the shared budget with this one task's wall-clock deadline,
-/// armed when the task starts. It lives as a closure-local in the task body
-/// (it holds atomics, so it cannot sit in the plan's growing vectors); the
+/// armed when the task starts. It lives as a local of run_task (it holds
+/// atomics, so it cannot sit in the plan's growing vectors); the
 /// `tripped` flag records that THIS deadline — not the shared budget —
 /// stopped the work, which is what cut_reason "obligation-timeout" reports.
 class TaskDeadline final : public util::CancelSource {
@@ -233,31 +233,27 @@ ObligationError classify_error(const std::exception_ptr& ep) {
 // how many workers ran the tasks or in which order they completed.
 // ---------------------------------------------------------------------------
 
-struct SweepInstanceResult {
-  enum class Status { kSkipped, kOk, kFail };
-  Status status = Status::kSkipped;
-  /// The instance's check ran at all (status can still be kSkipped when the
-  /// budget cancelled it mid-run — that distinction is Obligation::run_state).
-  bool started = false;
-  double seconds = 0.0;
-  std::exception_ptr error;
-  /// This instance's own TaskDeadline tripped (not the shared budget).
-  bool timed_out = false;
-};
-
-struct ParametricTask {
-  PropertyResult* prop;
-  std::size_t slot;
-  const ta::System* sys;
-  spec::Spec spec;
-  std::optional<schema::CheckResult> result;
-  std::exception_ptr error;
+/// How one pool task ended: a parametric check, or one sweep instance.
+/// Written only by ProtocolRun::Impl::run_task, the one task boundary.
+struct TaskRun {
+  /// The body ran at all (the budget was not yet spent when it started).
   bool started = false;
   /// This task's own TaskDeadline tripped (not the shared budget).
   bool timed_out = false;
   /// Scheduler-side wall time around the whole task body; attributes even
   /// budget-cancelled work (check_spec's own seconds die with the throw).
-  double task_seconds = 0.0;
+  double seconds = 0.0;
+  /// A contained non-Cancelled exception.
+  std::exception_ptr error;
+};
+
+struct ParametricTask {
+  PropertyResult* prop = nullptr;
+  std::size_t slot = 0;
+  const ta::System* sys = nullptr;
+  spec::Spec spec;
+  std::optional<schema::CheckResult> result;
+  TaskRun run;
   /// Content address of this obligation (set when Options.cache is present
   /// or keys were requested); cache_hit means `result` was decoded from the
   /// cache at plan time and no task was created for this slot.
@@ -266,12 +262,15 @@ struct ParametricTask {
 };
 
 struct SweepTask {
-  PropertyResult* prop;
-  std::size_t slot;
-  SweepCheckFn check;
-  const protocols::ProtocolModel* pm;
-  const ta::System* sys;
-  std::vector<SweepInstanceResult> instances;
+  PropertyResult* prop = nullptr;
+  std::size_t slot = 0;
+  SweepCheckFn check = nullptr;
+  const protocols::ProtocolModel* pm = nullptr;
+  const ta::System* sys = nullptr;
+  /// Per instance: its task record, and the game's answer (empty unless
+  /// the check returned).
+  std::vector<TaskRun> runs;
+  std::vector<std::optional<bool>> answers;
   /// Content address / cached merged verdict; when `cached` is set none of
   /// the instance tasks are created and merge applies the verdict directly.
   std::string cache_key;
@@ -286,28 +285,36 @@ struct Plan {
 
   void add_check(PropertyResult& prop, const ta::System& sys,
                  spec::Spec spec) {
-    Obligation o;
-    o.name = spec.name;
-    o.parametric = true;
-    prop.obligations.push_back(std::move(o));
-    checks.push_back({&prop, prop.obligations.size() - 1, &sys,
-                      std::move(spec), std::nullopt, nullptr, false, false,
-                      0.0, std::string(), false});
+    ParametricTask& t = checks.emplace_back();
+    t.prop = &prop;
+    t.slot = open_slot(prop, spec.name, /*parametric=*/true);
+    t.sys = &sys;
+    t.spec = std::move(spec);
     order.emplace_back(false, checks.size() - 1);
   }
 
   void add_sweep(PropertyResult& prop, const std::string& name,
                  const protocols::ProtocolModel& pm, const ta::System& sys,
                  SweepCheckFn check) {
+    SweepTask& t = sweeps.emplace_back();
+    t.prop = &prop;
+    t.slot = open_slot(prop, name, /*parametric=*/false);
+    t.check = check;
+    t.pm = &pm;
+    t.sys = &sys;
+    t.runs.resize(pm.sweep_params.size());
+    t.answers.resize(pm.sweep_params.size());
+    order.emplace_back(true, sweeps.size() - 1);
+  }
+
+  /// Appends `prop`'s next obligation slot and returns its index.
+  static std::size_t open_slot(PropertyResult& prop, const std::string& name,
+                               bool parametric) {
     Obligation o;
     o.name = name;
-    o.parametric = false;
+    o.parametric = parametric;
     prop.obligations.push_back(std::move(o));
-    sweeps.push_back(
-        {&prop, prop.obligations.size() - 1, check, &pm, &sys,
-         std::vector<SweepInstanceResult>(pm.sweep_params.size()),
-         std::string(), std::nullopt});
-    order.emplace_back(true, sweeps.size() - 1);
+    return prop.obligations.size() - 1;
   }
 };
 
@@ -319,67 +326,6 @@ std::string instance_tag(const std::vector<long long>& params) {
   }
   tag += ")";
   return tag;
-}
-
-void merge_sweep(SweepTask& t, const schema::SharedBudget& budget) {
-  Obligation& o = t.prop->obligations[t.slot];
-  o.holds = true;
-  o.complete = true;
-  o.seconds = 0.0;
-  bool any_started = false;
-  bool timed_out = false;
-  std::vector<std::string> swept;
-  std::vector<std::string> failed;
-  for (std::size_t i = 0; i < t.instances.size(); ++i) {
-    const SweepInstanceResult& inst = t.instances[i];
-    any_started = any_started || inst.started;
-    timed_out = timed_out || inst.timed_out;
-    std::string tag = instance_tag(t.pm->sweep_params[i]);
-    if (inst.error) {
-      // Contained internal failure in this instance: the sweep is
-      // inconclusive (never a proof or refutation over the other
-      // instances); the canonically-first error is the one reported.
-      tag += "=ERROR";
-      o.holds = false;
-      o.complete = false;
-      if (!o.error) {
-        o.error = classify_error(inst.error);
-        obs::add(obs::Counter::kVerifyObligationErrors);
-      }
-    } else {
-      switch (inst.status) {
-        case SweepInstanceResult::Status::kOk:
-          break;
-        case SweepInstanceResult::Status::kFail:
-          tag += "=FAIL";
-          failed.push_back(instance_tag(t.pm->sweep_params[i]));
-          o.holds = false;
-          break;
-        case SweepInstanceResult::Status::kSkipped:
-          // Budget-cancelled before (or while) this instance ran: the sweep
-          // is inconclusive, never a refutation.
-          tag += "=SKIP";
-          o.holds = false;
-          o.complete = false;
-          break;
-      }
-    }
-    swept.push_back(std::move(tag));
-    o.seconds += inst.seconds;
-  }
-  o.run_state = o.error       ? Obligation::RunState::kError
-                : o.complete  ? Obligation::RunState::kComplete
-                : any_started ? Obligation::RunState::kCancelled
-                              : Obligation::RunState::kSkipped;
-  if (o.run_state == Obligation::RunState::kCancelled ||
-      o.run_state == Obligation::RunState::kSkipped) {
-    o.cut_reason = timed_out ? "obligation-timeout" : budget.reason_str();
-  }
-  if (timed_out) obs::add(obs::Counter::kWatchdogTimeoutCuts);
-  o.detail = "instances " + util::join(swept, " ");
-  if (!failed.empty()) {
-    o.ce = "failing instances " + util::join(failed, " ");
-  }
 }
 
 }  // namespace
@@ -582,113 +528,39 @@ struct ProtocolRun::Impl {
     if (task_opts.workers == 0) task_opts.workers = 1;
 
     // Task closures, in canonical order (all referenced vectors are final
-    // from here on, so the captured references stay valid). Each body is
-    // wrapped in an "obligation" trace span plus a scheduler-side stopwatch
-    // whose reading survives budget cancellation (check_spec's own seconds
-    // die with the Cancelled throw) — this is where per-obligation wall
-    // time attribution comes from.
+    // from here on, so the captured references stay valid). Every body runs
+    // inside run_task, the one task boundary.
     for (const auto& [is_sweep, idx] : plan.order) {
       if (!is_sweep) {
         ParametricTask& t = plan.checks[idx];
         if (t.cache_hit) continue;  // verdict already decoded at probe time
         tasks.push_back([this, &t]() {
-          obs::Span span("obligation");
-          if (span.active()) {
-            span.args("\"protocol\":\"" + obs::json_escape(pm.name) +
-                      "\",\"obligation\":\"" + obs::json_escape(t.spec.name) +
-                      "\"");
+          run_task(t.run, t.spec.name, [&](const TaskDeadline* deadline) {
+            schema::CheckOptions topts = task_opts;
+            if (deadline != nullptr) topts.extra_cancel = deadline;
+            t.result = schema::check_spec(*t.sys, t.spec, topts);
+          });
+          if (t.result && t.result->complete) {
+            durable(t.spec.name, t.cache_key,
+                    [&t] { return svc::encode_check(*t.result); });
           }
-          util::Stopwatch w;
-          // Containment boundary: a non-Cancelled exception stops THIS
-          // obligation only. It must never touch the shared budget — that
-          // would cancel innocent siblings and change their report bytes.
-          std::optional<TaskDeadline> dl;
-          try {
-            if (!budget.exhausted()) {  // else the slot stays inconclusive
-              t.started = true;
-              schema::CheckOptions topts = task_opts;
-              if (opts.obligation_timeout_s > 0) {
-                dl.emplace(budget, opts.obligation_timeout_s);
-                topts.extra_cancel = &*dl;
-              }
-              t.result = schema::check_spec(*t.sys, t.spec, topts);
-            }
-          } catch (const util::Cancelled&) {
-          } catch (...) {
-            t.error = std::current_exception();
-          }
-          if (dl && dl->tripped()) t.timed_out = true;
-          t.task_seconds = w.seconds();
-          // Durability point: a complete verdict becomes a cache entry and
-          // a journal record the moment its task finishes, not at merge —
-          // a crash mid-protocol keeps every finished obligation durable
-          // for --resume. Failures here degrade crash safety, never the
-          // run (the merge path re-reads t.result, not the cache).
-          if (opts.cache != nullptr && !t.error && t.result &&
-              t.result->complete) {
-            try {
-              opts.cache->store(t.cache_key, svc::encode_check(*t.result));
-              if (opts.journal != nullptr) {
-                opts.journal->obligation_done(opts.journal_run, t.spec.name,
-                                              t.cache_key, /*cached=*/false);
-              }
-            } catch (...) {
-            }
-          }
-          obs::add(obs::Counter::kVerifyTasksDone);
-          obs::add(obs::Counter::kVerifyObligationMicros,
-                   static_cast<std::uint64_t>(t.task_seconds * 1e6));
-          obs::observe(obs::Histogram::kObligationMillis,
-                       static_cast<std::uint64_t>(t.task_seconds * 1e3));
         });
       } else {
         SweepTask& t = plan.sweeps[idx];
         if (t.cached) continue;  // merged verdict replays from the cache
-        for (std::size_t i = 0; i < t.instances.size(); ++i) {
+        for (std::size_t i = 0; i < t.runs.size(); ++i) {
           tasks.push_back([this, &t, i]() {
-            SweepInstanceResult& inst = t.instances[i];
-            obs::Span span("obligation");
-            if (span.active()) {
-              std::string name =
-                  t.prop->obligations[t.slot].name + "[" +
-                  std::to_string(i) + "]";
-              span.args("\"protocol\":\"" + obs::json_escape(pm.name) +
-                        "\",\"obligation\":\"" + obs::json_escape(name) +
-                        "\"");
-            }
-            util::Stopwatch w;
-            // Same containment boundary as the parametric wrapper: errors
-            // stay local to this instance; the shared budget is never
-            // cancelled on their behalf.
-            std::optional<TaskDeadline> dl;
-            try {
-              if (!budget.exhausted()) {
-                inst.started = true;
-                // The budget itself is the cancel source (wrapped by the
-                // per-obligation deadline when one is set), so a long
-                // state-graph build notices an expired deadline, not just a
-                // tripped flag.
-                const util::CancelSource* cs = &budget;
-                if (opts.obligation_timeout_s > 0) {
-                  dl.emplace(budget, opts.obligation_timeout_s);
-                  cs = &*dl;
-                }
-                bool ok = t.check(*t.sys, t.pm->sweep_params[i],
-                                  opts.max_states, cs);
-                inst.status = ok ? SweepInstanceResult::Status::kOk
-                                 : SweepInstanceResult::Status::kFail;
-              }
-            } catch (const util::Cancelled&) {
-            } catch (...) {
-              inst.error = std::current_exception();
-            }
-            if (dl && dl->tripped()) inst.timed_out = true;
-            inst.seconds = w.seconds();
-            obs::add(obs::Counter::kVerifyTasksDone);
-            obs::add(obs::Counter::kVerifyObligationMicros,
-                     static_cast<std::uint64_t>(inst.seconds * 1e6));
-            obs::observe(obs::Histogram::kObligationMillis,
-                         static_cast<std::uint64_t>(inst.seconds * 1e3));
+            const std::string name = t.prop->obligations[t.slot].name + "[" +
+                                     std::to_string(i) + "]";
+            run_task(t.runs[i], name, [&](const TaskDeadline* deadline) {
+              // The budget itself is the cancel source (wrapped by the
+              // deadline when one is set), so a long state-graph build
+              // notices an expired deadline, not just a tripped flag.
+              const util::CancelSource* cs = &budget;
+              if (deadline != nullptr) cs = deadline;
+              t.answers[i] = t.check(*t.sys, t.pm->sweep_params[i],
+                                     opts.max_states, cs);
+            });
           });
         }
       }
@@ -697,6 +569,79 @@ struct ProtocolRun::Impl {
              static_cast<std::uint64_t>(tasks.size()));
     CTAVER_LOG(kInfo) << pm.name << ": planned " << plan.order.size()
                       << " obligation(s) as " << tasks.size() << " task(s)";
+  }
+
+  /// The one task boundary, for parametric checks and sweep instances
+  /// alike: an "obligation" trace span, a scheduler-side stopwatch whose
+  /// reading survives budget cancellation (this is where per-obligation
+  /// wall time attribution comes from), the per-obligation deadline
+  /// (passed to `body`, null when off), and containment. `body` runs only
+  /// while the shared budget lasts. A non-Cancelled exception stops THIS
+  /// task only: it must never touch the shared budget — that would cancel
+  /// innocent siblings and change their report bytes.
+  void run_task(TaskRun& run, const std::string& name,
+                const std::function<void(const TaskDeadline*)>& body) {
+    obs::Span span("obligation");
+    if (span.active()) {
+      span.args("\"protocol\":\"" + obs::json_escape(pm.name) +
+                "\",\"obligation\":\"" + obs::json_escape(name) + "\"");
+    }
+    util::Stopwatch w;
+    std::optional<TaskDeadline> dl;
+    try {
+      if (!budget.exhausted()) {  // else the slot stays inconclusive
+        run.started = true;
+        if (opts.obligation_timeout_s > 0) {
+          dl.emplace(budget, opts.obligation_timeout_s);
+        }
+        body(dl ? &*dl : nullptr);
+      }
+    } catch (const util::Cancelled&) {
+    } catch (...) {
+      run.error = std::current_exception();
+    }
+    run.timed_out = dl && dl->tripped();
+    run.seconds = w.seconds();
+    obs::add(obs::Counter::kVerifyTasksDone);
+    obs::add(obs::Counter::kVerifyObligationMicros,
+             static_cast<std::uint64_t>(run.seconds * 1e6));
+    obs::observe(obs::Histogram::kObligationMillis,
+                 static_cast<std::uint64_t>(run.seconds * 1e3));
+  }
+
+  /// The one durability hook: a complete verdict becomes a cache entry and
+  /// a journal record the moment it exists — a check when its task ends, a
+  /// sweep at merge, a cache hit at probe time — so a crash mid-protocol
+  /// keeps every finished obligation durable for --resume. `payload`
+  /// encodes the entry to store; it is empty for a hit, which the cache
+  /// already holds. Never throws: a failure here degrades crash safety,
+  /// never the run (merge reads the task slots, not the cache).
+  void durable(const std::string& name, const std::string& key,
+               const std::function<std::string()>& payload) noexcept {
+    if (opts.cache == nullptr) return;
+    try {
+      if (payload) opts.cache->store(key, payload());
+      if (opts.journal != nullptr) {
+        opts.journal->obligation_done(opts.journal_run, name, key,
+                                      /*cached=*/!payload);
+      }
+    } catch (...) {
+    }
+  }
+
+  /// The one run-state rule, for every slot: run_state from the verdict
+  /// fields merge has set (before any counterexample replay, whose failure
+  /// keeps the run_state), and why an incomplete slot stopped.
+  void settle(Obligation& o, bool started, bool timed_out) const {
+    o.run_state = o.error      ? Obligation::RunState::kError
+                  : o.complete ? Obligation::RunState::kComplete
+                  : started    ? Obligation::RunState::kCancelled
+                               : Obligation::RunState::kSkipped;
+    if (o.run_state == Obligation::RunState::kCancelled ||
+        o.run_state == Obligation::RunState::kSkipped) {
+      o.cut_reason = timed_out ? "obligation-timeout" : budget.reason_str();
+    }
+    if (timed_out) obs::add(obs::Counter::kWatchdogTimeoutCuts);
   }
 
   /// Content address of every planned obligation (cache probes and
@@ -727,35 +672,26 @@ struct ProtocolRun::Impl {
   /// checksum-valid payload that still fails to decode (incompatible codec)
   /// is invalidated and treated as a miss.
   void probe_cache() {
-    for (ParametricTask& t : plan.checks) {
-      if (std::optional<std::string> p = opts.cache->lookup(t.cache_key)) {
-        if (std::optional<schema::CheckResult> res = svc::decode_check(*p)) {
-          t.result = std::move(res);
-          t.cache_hit = true;
-          // A hit is already durable — journal it now so a crash before
-          // merge still credits this obligation to the run.
-          if (opts.journal != nullptr) {
-            opts.journal->obligation_done(opts.journal_run, t.spec.name,
-                                          t.cache_key, /*cached=*/true);
-          }
-        } else {
-          opts.cache->invalidate(t.cache_key);
-        }
+    auto probe = [this](const std::string& name, const std::string& key,
+                        auto decode, auto& verdict) {
+      std::optional<std::string> p = opts.cache->lookup(key);
+      if (!p) return;
+      verdict = decode(*p);
+      // A hit is already durable — journal it now so a crash before merge
+      // still credits this obligation to the run.
+      if (verdict) {
+        durable(name, key, nullptr);
+      } else {
+        opts.cache->invalidate(key);
       }
+    };
+    for (ParametricTask& t : plan.checks) {
+      probe(t.spec.name, t.cache_key, svc::decode_check, t.result);
+      t.cache_hit = t.result.has_value();
     }
     for (SweepTask& t : plan.sweeps) {
-      if (std::optional<std::string> p = opts.cache->lookup(t.cache_key)) {
-        if (std::optional<svc::SweepVerdict> v = svc::decode_sweep(*p)) {
-          t.cached = std::move(v);
-          if (opts.journal != nullptr) {
-            opts.journal->obligation_done(
-                opts.journal_run, t.prop->obligations[t.slot].name,
-                t.cache_key, /*cached=*/true);
-          }
-        } else {
-          opts.cache->invalidate(t.cache_key);
-        }
-      }
+      probe(t.prop->obligations[t.slot].name, t.cache_key, svc::decode_sweep,
+            t.cached);
     }
   }
 
@@ -768,6 +704,53 @@ struct ProtocolRun::Impl {
     }
   }
 
+  /// A sweep's verdict from its instances, in canonical instance order.
+  void merge_sweep(SweepTask& t) {
+    Obligation& o = t.prop->obligations[t.slot];
+    o.holds = true;
+    o.complete = true;
+    bool any_started = false;
+    bool timed_out = false;
+    std::vector<std::string> swept;
+    std::vector<std::string> failed;
+    for (std::size_t i = 0; i < t.runs.size(); ++i) {
+      const TaskRun& run = t.runs[i];
+      any_started = any_started || run.started;
+      timed_out = timed_out || run.timed_out;
+      o.seconds += run.seconds;
+      std::string tag = instance_tag(t.pm->sweep_params[i]);
+      if (run.error) {
+        // Contained internal failure in this instance: the sweep is
+        // inconclusive (never a proof or refutation over the other
+        // instances); the canonically-first error is the one reported.
+        swept.push_back(tag + "=ERROR");
+        o.holds = false;
+        o.complete = false;
+        if (!o.error) {
+          o.error = classify_error(run.error);
+          obs::add(obs::Counter::kVerifyObligationErrors);
+        }
+      } else if (!t.answers[i]) {
+        // Budget-cancelled before (or while) this instance ran: the sweep
+        // is inconclusive, never a refutation.
+        swept.push_back(tag + "=SKIP");
+        o.holds = false;
+        o.complete = false;
+      } else if (!*t.answers[i]) {
+        swept.push_back(tag + "=FAIL");
+        failed.push_back(std::move(tag));
+        o.holds = false;
+      } else {
+        swept.push_back(std::move(tag));
+      }
+    }
+    settle(o, any_started, timed_out);
+    o.detail = "instances " + util::join(swept, " ");
+    if (!failed.empty()) {
+      o.ce = "failing instances " + util::join(failed, " ");
+    }
+  }
+
   ProtocolReport merge() {
     finished = true;
     // Deterministic merge, in canonical slot order. Task errors never
@@ -776,86 +759,61 @@ struct ProtocolRun::Impl {
     // every unaffected obligation's report bytes match an error-free run.
     for (ParametricTask& t : plan.checks) {
       Obligation& o = t.prop->obligations[t.slot];
-      if (t.error) {
-        o.holds = false;
-        o.complete = false;
-        o.run_state = Obligation::RunState::kError;
-        o.error = classify_error(t.error);
+      if (t.run.error) {
+        o.error = classify_error(t.run.error);
         obs::add(obs::Counter::kVerifyObligationErrors);
       } else if (t.result) {
         o = from_check(o.name, *t.result);
-        o.run_state = o.complete ? Obligation::RunState::kComplete
-                                 : Obligation::RunState::kCancelled;
         o.cached = t.cache_hit;
-        if (opts.replay_ce && o.ce_data) {
-          // Close the loop: concretize the schema counterexample and step
-          // it through the explicit semantics. Replay is deterministic, so
-          // this keeps reports byte-identical across jobs widths. Replay
-          // runs here on the merge thread, so it gets its own containment
-          // boundary: a replay failure keeps the (trustworthy) schema
-          // verdict and run_state, loses only the replay summary, and
-          // still drives the exit code to 3 via `error`.
-          try {
-            replay::ReplayReport rr =
-                replay::replay_counterexample(*t.sys, t.spec, *o.ce_data);
-            o.replay = rr.detail;
-            o.replay_ok = rr.ok();
-          } catch (const util::Cancelled&) {
-            o.replay = "replay cancelled";
-            o.replay_ok = false;
-          } catch (...) {
-            o.error = classify_error(std::current_exception());
-            o.replay = "replay failed (contained): " + o.error->what;
-            o.replay_ok = false;
-            obs::add(obs::Counter::kVerifyObligationErrors);
-          }
-        }
-      } else {
-        // Skipped by budget exhaustion or cancellation: inconclusive.
-        o.holds = false;
-        o.complete = false;
-        o.run_state = t.started ? Obligation::RunState::kCancelled
-                                : Obligation::RunState::kSkipped;
       }
-      if (o.run_state == Obligation::RunState::kCancelled ||
-          o.run_state == Obligation::RunState::kSkipped) {
-        o.cut_reason = t.timed_out ? "obligation-timeout"
-                                   : budget.reason_str();
-      }
-      if (t.timed_out) obs::add(obs::Counter::kWatchdogTimeoutCuts);
       // Table-II time columns come from the scheduler-side task timer, so
       // budget-cancelled obligations are attributable too (a cache hit
       // reads 0 — no work was done).
-      o.seconds = t.task_seconds;
-      // The cache store + journal record happened at task-completion time
-      // (or at probe time for a hit) — the durability point is the moment
-      // the verdict exists, so a crash between then and this merge loses
-      // nothing.
+      o.seconds = t.run.seconds;
+      settle(o, t.run.started, t.run.timed_out);
+      if (opts.replay_ce && o.ce_data) {
+        // Close the loop: concretize the schema counterexample and step it
+        // through the explicit semantics. Replay is deterministic, so this
+        // keeps reports byte-identical across jobs widths. Replay runs here
+        // on the merge thread, so it gets its own containment boundary: a
+        // replay failure keeps the (trustworthy) schema verdict and
+        // run_state, loses only the replay summary, and still drives the
+        // exit code to 3 via `error`.
+        try {
+          replay::ReplayReport rr =
+              replay::replay_counterexample(*t.sys, t.spec, *o.ce_data);
+          o.replay = rr.detail;
+          o.replay_ok = rr.ok();
+        } catch (const util::Cancelled&) {
+          o.replay = "replay cancelled";
+          o.replay_ok = false;
+        } catch (...) {
+          o.error = classify_error(std::current_exception());
+          o.replay = "replay failed (contained): " + o.error->what;
+          o.replay_ok = false;
+          obs::add(obs::Counter::kVerifyObligationErrors);
+        }
+      }
     }
     for (SweepTask& t : plan.sweeps) {
+      Obligation& o = t.prop->obligations[t.slot];
       if (t.cached) {
         // Replay the cached merged verdict; the fields below are exactly
         // what merge_sweep leaves on a complete sweep, so every rendered
         // byte matches a cold run (nschemas stays 0, seconds read 0).
-        Obligation& o = t.prop->obligations[t.slot];
         o.holds = t.cached->holds;
         o.complete = t.cached->complete;
         o.ce = t.cached->ce;
         o.detail = t.cached->detail;
-        o.run_state = Obligation::RunState::kComplete;
         o.cached = true;  // journaled at probe time, like parametric hits
+        settle(o, false, false);
         continue;
       }
-      merge_sweep(t, budget);
-      const Obligation& o = t.prop->obligations[t.slot];
-      if (opts.cache != nullptr && o.complete && !o.error) {
-        opts.cache->store(t.cache_key,
-                          svc::encode_sweep({o.holds, o.complete, o.ce,
-                                             o.detail}));
-        if (opts.journal != nullptr) {
-          opts.journal->obligation_done(opts.journal_run, o.name, t.cache_key,
-                                        /*cached=*/false);
-        }
+      merge_sweep(t);
+      if (o.complete) {
+        durable(o.name, t.cache_key, [&o] {
+          return svc::encode_sweep({o.holds, o.complete, o.ce, o.detail});
+        });
       }
     }
 

@@ -84,13 +84,13 @@ struct Options {
   /// into the task's result slot — no task runs, no budget is charged, and
   /// the merge path (including deterministic counterexample replay) renders
   /// the exact bytes a cold run would; a miss proves the obligation
-  /// normally and stores its verdict at merge time when it is complete and
-  /// error-free.
+  /// normally and stores a complete verdict the moment it exists (a check
+  /// when its task ends, a sweep at merge).
   svc::ProofCache* cache = nullptr;
   /// Durable run journal (src/svc/journal; not owned, may be null). Only
-  /// consulted together with `cache`: at merge time every complete,
-  /// error-free obligation appends one fsync'd record referencing its
-  /// ProofCache key under the `journal_run` id, so a killed process can
+  /// consulted together with `cache`: as each complete obligation is
+  /// stored (or hits the cache) it appends one fsync'd record referencing
+  /// its ProofCache key under the `journal_run` id, so a killed process can
   /// account for what already landed durable. Journal appends are strictly
   /// out-of-band — no report byte ever depends on them.
   svc::Journal* journal = nullptr;

@@ -4,7 +4,8 @@
 # or input error. A numeric flag must spell a whole non-negative number,
 # 0 keeps its per-flag meaning, and a huge time limit saturates instead of
 # expiring at once. A journal that cannot be opened stops a --resume run
-# and only warns on any other run, and stderr says which.
+# and only warns on any other run, and stderr says which. check and hash
+# reject the flags they would otherwise drop.
 #
 #   sh tests/cli_exit_codes.sh path/to/ctaver
 #
@@ -72,5 +73,22 @@ expect_stderr 2 "cannot resume" \
   verify NaiveVoting --cache-dir /dev/null/x --resume
 expect_stderr 1 "continuing without crash-safety" \
   verify NaiveVoting --cache-dir /dev/null/x
+# check proves every expect verdict afresh and plans its own obligations;
+# hash reads no cache and proves nothing. A flag either would drop is a
+# usage error, and check never creates the cache dir it was handed.
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+expect_stderr 2 "check does not take --cache-dir" \
+  check CC85a --cache-dir "$tmpdir/d"
+if [ -e "$tmpdir/d" ]; then
+  echo "FAIL: check --cache-dir created $tmpdir/d"
+  failures=$((failures + 1))
+fi
+expect_stderr 2 "check does not take --resume" check --resume
+expect_stderr 2 "check does not take --only-obligations" \
+  check CC85a --only-obligations CB0
+expect_stderr 2 "hash does not take --resume" hash CC85a --resume
+expect_stderr 2 "hash does not take --cache-dir" \
+  hash CC85a --cache-dir "$tmpdir/d"
 
 [ "$failures" -eq 0 ]

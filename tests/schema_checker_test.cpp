@@ -481,19 +481,6 @@ TEST(CheckSpec, ClaimIndexMatchesOneWorkerAtEveryDepth) {
   }
 }
 
-/// max/mean over one field of the per-worker stats; 1.0 = balanced.
-double worker_imbalance(const std::vector<CheckResult::WorkerStat>& pw,
-                        long long CheckResult::WorkerStat::*field) {
-  long long mx = 0, total = 0;
-  for (const CheckResult::WorkerStat& s : pw) {
-    mx = std::max(mx, s.*field);
-    total += s.*field;
-  }
-  if (pw.empty() || total == 0) return 1.0;
-  return static_cast<double>(mx) * static_cast<double>(pw.size()) /
-         static_cast<double>(total);
-}
-
 /// G commuting rising guards u_g >= 1, each fed by its own unguarded I->S
 /// rule and gating its own zero-update S->T_g decision rule. Independence
 /// pruning keeps only index-ascending milestone orders, so the depth-1
@@ -543,36 +530,23 @@ TEST(CheckSpec, ClaimIndexBalancesSkewedUnits) {
   // Claim index: a worker holds at most one unfinished unit, so the worker
   // stuck on the giant first unit stops accumulating siblings and the
   // other drains the queue. The realized placement depends on OS
-  // scheduling — on a single hardware thread it degenerates to
-  // {unit 0 | everything else} — so the ≤1.8 balance ceiling is asserted
-  // on the real protocols (ParallelPipeline.WorkersJobsMatrixEquivalence),
-  // and here we assert what holds under any schedule: byte identity, full
-  // attribution (every unit claimed exactly once), and the busiest worker
-  // bounded strictly away from starvation (2.0 with two slots) within a few
-  // attempts.
-  bool bounded = false;
-  double best = 1e9;
-  for (int attempt = 0; attempt < 8 && !bounded; ++attempt) {
-    CheckOptions cl = base;
-    cl.workers = 2;
-    CheckResult res = check_spec(rd, s, cl);
-    EXPECT_EQ(res.npivots, ref.npivots);
-    EXPECT_EQ(res.nschemas, ref.nschemas);
-    EXPECT_EQ(res.nqueries, ref.nqueries);
-    ASSERT_EQ(res.per_worker.size(), 2u);
-    // No CE, no budget trip: every unit is claimed exactly once, and the
-    // attributed pivots add up to the whole partitioned tree.
-    EXPECT_EQ(res.per_worker[0].units + res.per_worker[1].units, 6);
-    EXPECT_EQ(res.per_worker[0].pivots + res.per_worker[1].pivots,
-              ref.per_worker[0].pivots);
-    const double imb =
-        worker_imbalance(res.per_worker, &CheckResult::WorkerStat::pivots);
-    best = std::min(best, imb);
-    bounded = imb <= 1.5;
-  }
-  EXPECT_TRUE(bounded) << "claim-index busiest worker never dropped below "
-                          "1.5x the mean; best attempt "
-                       << best;
+  // scheduling — under load the second worker may claim nothing at all —
+  // so the ≤1.8 balance ceiling is asserted on the real protocols
+  // (ParallelPipeline.WorkersJobsMatrixEquivalence), and here we assert
+  // what holds under any schedule: identity with the 1-worker run, and
+  // full attribution.
+  CheckOptions cl = base;
+  cl.workers = 2;
+  CheckResult res = check_spec(rd, s, cl);
+  EXPECT_EQ(res.npivots, ref.npivots);
+  EXPECT_EQ(res.nschemas, ref.nschemas);
+  EXPECT_EQ(res.nqueries, ref.nqueries);
+  ASSERT_EQ(res.per_worker.size(), 2u);
+  // No CE, no budget trip: every unit is claimed exactly once, and the
+  // attributed pivots add up to the whole partitioned tree.
+  EXPECT_EQ(res.per_worker[0].units + res.per_worker[1].units, 6);
+  EXPECT_EQ(res.per_worker[0].pivots + res.per_worker[1].pivots,
+            ref.per_worker[0].pivots);
 }
 
 TEST(CheckSpec, UnprunedEnumerationStillSound) {

@@ -120,6 +120,28 @@ TEST(Journal, CreatesHeaderAndAppendsSurviveReopen) {
   EXPECT_EQ(j3.unfinished_runs(), 0u);
 }
 
+TEST(Journal, KilledRerunOfAFinishedRunIsUnfinished) {
+  // The run id does not cover --time-budget: a budget-cut run finishes,
+  // then the same command line re-run is killed mid-flight. The queries
+  // read only the records since the id's last run-start.
+  TempDir dir;
+  {
+    Journal j(dir.str());
+    ASSERT_TRUE(j.ok()) << j.error();
+    j.run_start("r1", "verify", "P", 2);
+    j.obligation_done("r1", "A", std::string(64, '1'), false);
+    j.run_end("r1", 1);
+    j.run_start("r1", "verify", "P", 2);
+    j.obligation_done("r1", "B", std::string(64, '2'), false);
+  }
+  Journal j(dir.str());
+  EXPECT_TRUE(j.run_started("r1"));
+  EXPECT_FALSE(j.run_finished("r1"));
+  EXPECT_EQ(j.unfinished_runs(), 1u);
+  EXPECT_EQ(j.run_obligations("r1"),
+            std::vector<std::string>{std::string(64, '2')});
+}
+
 TEST(Journal, RecordFormatIsChecksummedOneLineJson) {
   TempDir dir;
   Journal j(dir.str());
