@@ -39,7 +39,6 @@ int Solver::alloc_internal(std::optional<Rational> lb,
   } else {
     cols_.emplace_back();
   }
-  owner_.push_back(-1);
   return iv;
 }
 
@@ -229,8 +228,6 @@ void Solver::add(Constraint c) {
   row_sweep_.push_back(0);
   crow_.push_back(s);
   constraints_.push_back(std::move(c));
-  owner_[static_cast<std::size_t>(s)] =
-      static_cast<int>(constraints_.size()) - 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -304,7 +301,6 @@ void Solver::pop_to(Checkpoint cp) {
   ub_.resize(static_cast<std::size_t>(scope.n_internal));
   beta_.resize(static_cast<std::size_t>(scope.n_internal));
   row_of_.resize(static_cast<std::size_t>(scope.n_internal));
-  owner_.resize(static_cast<std::size_t>(scope.n_internal));
   ext2int_.resize(static_cast<std::size_t>(scope.n_external));
 }
 
@@ -487,25 +483,8 @@ Result Solver::solve() {
         break;
       }
     }
-    if (xn == -1) {
-      // Conflict: xb's row with every nonbasic pinned at a blocking bound.
-      // The tableau row is the combination of exactly the constraint rows
-      // whose slacks appear in it (each slack occurs in one original row
-      // only), so folding the row's variables — and their owning
-      // constraints — into the core maxima summarizes this leaf of the
-      // refutation; see the core comments in solver.h.
-      auto fold = [&](int iv) {
-        core_max_var_ = std::max(core_max_var_, iv);
-        core_max_cons_ =
-            std::max(core_max_cons_, owner_[static_cast<std::size_t>(iv)]);
-      };
-      fold(xb);
-      for (const auto& [v, c] : row) {
-        (void)c;
-        fold(v);
-      }
-      return Result::kUnsat;
-    }
+    // Conflict: xb's row with every nonbasic pinned at a blocking bound.
+    if (xn == -1) return Result::kUnsat;
 
     ++stat_pivots_;
     ++total_pivots_;
@@ -524,26 +503,8 @@ Result Solver::do_check(bool relaxed) {
   stat_pivots_ = 0;
   stat_nodes_ = 0;
   model_.clear();
-  core_valid_ = false;
-  core_max_cons_ = -1;
-  core_max_var_ = -1;
-  if (const_unsat_ > 0) {
-    // The first violated constant constraint alone refutes the system.
-    for (std::size_t i = 0; i < constraints_.size(); ++i) {
-      if (crow_[i] != -1) continue;
-      const Constraint& c = constraints_[i];
-      const Rational& k = c.expr.constant();
-      bool ok = (c.rel == Rel::kLe && !k.is_positive()) ||
-                (c.rel == Rel::kGe && !k.is_negative()) ||
-                (c.rel == Rel::kEq && k.is_zero());
-      if (!ok) {
-        core_max_cons_ = static_cast<int>(i);
-        break;
-      }
-    }
-    core_valid_ = true;
-    return Result::kUnsat;
-  }
+  // A violated constant constraint alone refutes the system.
+  if (const_unsat_ > 0) return Result::kUnsat;
 
   const Checkpoint outer = push();
   // Default window: every externally-unbounded variable is clamped so
@@ -560,11 +521,6 @@ Result Solver::do_check(bool relaxed) {
   }
 
   Result res = Result::kUnsat;
-  // Whether every leaf of the refutation was folded into the core maxima.
-  // A root-level lb>ub pair predates the check and is not attributed;
-  // deeper bound conflicts come from branch asserts, whose variables are
-  // folded below, so those leaves stay tracked.
-  bool tracked = true;
   std::vector<PendingBranch> pending;
   for (;;) {
     if (stat_nodes_ >= kMaxNodes) {
@@ -578,9 +534,6 @@ Result Solver::do_check(bool relaxed) {
     ++stat_nodes_;
 
     Result r = conflicts_ > 0 ? Result::kUnsat : solve();
-    if (r == Result::kUnsat && conflicts_ > 0 && stat_nodes_ == 1) {
-      tracked = false;
-    }
     if (r == Result::kUnknown) {
       res = Result::kUnknown;
       break;
@@ -608,9 +561,6 @@ Result Solver::do_check(bool relaxed) {
         break;
       }
       int iv = internal(frac);
-      // Branch splits case-split integer points exhaustively, so a split
-      // variable is part of any refutation assembled below it.
-      core_max_var_ = std::max(core_max_var_, iv);
       Int128 fl = beta_[static_cast<std::size_t>(iv)].floor();
       // Explore the "down" branch first: counterexamples with small values
       // make for readable reports. The "up" sibling waits on the stack with
@@ -633,7 +583,6 @@ Result Solver::do_check(bool relaxed) {
   }
 
   pop_to(outer);
-  core_valid_ = res == Result::kUnsat && tracked;
   return res;
 }
 

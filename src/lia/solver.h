@@ -123,38 +123,6 @@ class Solver {
   /// solver, so the constraint system is unchanged afterwards.
   Result minimize(const LinExpr& objective);
 
-  // --- conflict cores ------------------------------------------------------
-  //
-  // UNSAT-core-lite: instead of a constraint set, the solver exports a
-  // *prefix bound* on the refutation. After a kUnsat whose proof tree was
-  // fully tracked (conflict_core_valid()), every simplex conflict row, every
-  // constraint whose slack appears in one, and every branch-and-bound split
-  // variable lies within the first core_max_constraint()+1 constraints and
-  // the first core_max_var()+1 internal variables. Soundness: a conflict
-  // row is the combination of exactly the constraint rows whose slacks
-  // appear in it, so the conjunction of that constraint prefix plus the
-  // bounds of that variable prefix is already integer-infeasible (the B&B
-  // splits, all on tracked variables, case-split integer points
-  // exhaustively) — any system containing an isomorphic copy of those
-  // prefixes is UNSAT without solving. The schema checker compares the
-  // maxima against its emission-divergence markers to skip sibling witness
-  // placements.
-
-  /// True iff the last check()'s kUnsat refutation was fully tracked
-  /// (pre-existing lb>ub bound conflicts are the untracked case). Only
-  /// meaningful after a check that returned kUnsat.
-  [[nodiscard]] bool conflict_core_valid() const { return core_valid_; }
-  /// Largest constraint index participating in the refutation, -1 if none.
-  [[nodiscard]] int core_max_constraint() const { return core_max_cons_; }
-  /// Largest internal variable id participating, -1 if none. Compare
-  /// against internal_size() snapshots taken while asserting.
-  [[nodiscard]] int core_max_var() const { return core_max_var_; }
-  /// Number of internal (structural + slack) variables currently live —
-  /// the marker companion to core_max_var().
-  [[nodiscard]] int internal_size() const {
-    return static_cast<int>(beta_.size());
-  }
-
   /// Pivots across every check() on this solver (never reset): what the
   /// schema checker reports as CheckResult::npivots.
   [[nodiscard]] long long total_pivots() const { return total_pivots_; }
@@ -214,7 +182,6 @@ class Solver {
   std::vector<int> ext2int_;
   std::vector<Constraint> constraints_;
   std::vector<int> crow_;  // constraint -> internal slack id, -1 if constant
-  std::vector<int> owner_;  // internal var -> owning constraint, -1 if none
   int const_unsat_ = 0;    // violated constant constraints currently active
 
   // Tableau over internal ids (structural + slack interleaved).
@@ -261,9 +228,6 @@ class Solver {
   std::vector<SparseRow> spare_rows_;      // buffers of rows pop_to removed
 
   std::vector<util::Int128> model_;
-  bool core_valid_ = false;  // see conflict_core_valid()
-  int core_max_cons_ = -1;
-  int core_max_var_ = -1;
   long long stat_pivots_ = 0;
   long long stat_nodes_ = 0;
   long long total_pivots_ = 0;

@@ -26,7 +26,7 @@ const char* counter_name(Counter c) {
     case Counter::kSolverMicros: return "solver.micros";
     case Counter::kSchemaSchemas: return "schema.schemas";
     case Counter::kSchemaQueries: return "schema.queries";
-    case Counter::kSchemaCoreSkips: return "schema.core_skips";
+    case Counter::kSchemaSubsumed: return "schema.subsumed";
     case Counter::kSchemaUnits: return "schema.units";
     case Counter::kSchemaUnitLevels: return "schema.unit_levels";
     case Counter::kSchemaClaimSkips: return "schema.claim_skips";

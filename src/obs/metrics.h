@@ -47,7 +47,7 @@ enum class Counter : int {
   kSolverMicros,        // solver.micros: wall micros inside check()
   kSchemaSchemas,       // schema.schemas: schemas charged to the budget
   kSchemaQueries,       // schema.queries: encoder probe/SAT/fresh queries
-  kSchemaCoreSkips,     // schema.core_skips: siblings skipped via UNSAT core
+  kSchemaSubsumed,      // schema.subsumed: placements an ancestor decided
   kSchemaUnits,         // schema.units: subtree units adopted by a worker
   kSchemaUnitLevels,    // schema.unit_levels: per-unit level advances
   kSchemaClaimSkips,    // schema.claim_skips: units skipped at claim (CE)

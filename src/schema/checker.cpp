@@ -188,14 +188,7 @@ class Encoder {
 
   /// Prefix-feasibility probe over the incremental solver: SAT of the
   /// rational relaxation of "some schedule realizes this milestone order".
-  /// On UNSAT, `siblings_unsat` (when non-null) is set if the conflict core
-  /// provably avoids the final milestone constraint — the only constraint
-  /// a same-parent sibling order does not share (the parent scopes are
-  /// literally the same solver state, and the last segment's batch emission
-  /// depends only on the set of flipped guards, which siblings agree on up
-  /// to the final position) — so every remaining sibling is UNSAT too.
-  bool probe(const std::vector<int>& flips, bool* unknown,
-             bool* siblings_unsat = nullptr) {
+  bool probe(const std::vector<int>& flips, bool* unknown) {
     util::fault_point("schema.encode");
     obs::Span span("query");
     if (span.active()) span.args("\"kind\":\"probe\"");
@@ -208,34 +201,14 @@ class Encoder {
       *unknown = true;
       return false;
     }
-    if (res == Result::kUnsat && siblings_unsat != nullptr &&
-        !levels_.empty() && inc_.solver.conflict_core_valid()) {
-      *siblings_unsat =
-          inc_.solver.core_max_constraint() < levels_.back().marker_cons &&
-          inc_.solver.core_max_var() < levels_.back().marker_var;
-    }
     return res == Result::kSat;
   }
 
   /// SAT of one (prefix, cut placement) spec query over the incremental
   /// solver. Counterexamples are extracted separately via solve_fresh so
   /// the reported model never depends on warm-solver state.
-  ///
-  /// On UNSAT, `later_cuts_unsat` (when non-null; pass only for two-cut
-  /// shapes with swap_cuts=false) is set if the conflict core lies entirely
-  /// before the conclusion witness's emission point. Every placement
-  /// (cut1, cut2' > cut2) emits the identical constraint sequence up to
-  /// that point — segments below cut2 (premise cut included) are unchanged
-  /// and the conclusion witness plus its re-emission pass simply move later
-  /// — so the core embeds verbatim and those placements are UNSAT without
-  /// solving. This is the non-degenerate face of UNSAT-core skipping: a
-  /// probe core must involve its final milestone (the milestone is the only
-  /// lower-bound forcer — anything before it extends the parent's solution
-  /// with empty batches), but a query core frequently stops at an
-  /// infeasible premise placement, which kills the whole cut2 row.
   bool query_sat(const std::vector<int>& flips, int cut1, int cut2,
-                 bool swap_cuts, const spec::Spec& spec, bool* unknown,
-                 bool* later_cuts_unsat = nullptr) {
+                 bool swap_cuts, const spec::Spec& spec, bool* unknown) {
     util::fault_point("schema.encode");
     obs::Span span("query");
     if (span.active()) span.args("\"kind\":\"cut\"");
@@ -251,8 +224,6 @@ class Encoder {
     sync_levels(flips, static_cast<std::size_t>(d));
     const Mark before = mark(inc_);
     Solver::Checkpoint cp = inc_.solver.push();
-    inc_.marker_cons = -1;
-    inc_.marker_var = -1;
     if (spec.shape == spec::Shape::kInitialImpliesGlobally) {
       assert_initial_premise(inc_, spec);
     }
@@ -260,12 +231,6 @@ class Encoder {
       emit_segment_with_cuts(inc_, s, cut1, cut2, swap_cuts, &spec, flips);
     }
     Result res = inc_.solver.check();
-    if (res == Result::kUnsat && later_cuts_unsat != nullptr &&
-        inc_.marker_cons >= 0 && inc_.solver.conflict_core_valid()) {
-      *later_cuts_unsat =
-          inc_.solver.core_max_constraint() < inc_.marker_cons &&
-          inc_.solver.core_max_var() < inc_.marker_var;
-    }
     inc_.solver.pop_to(cp);
     rewind(inc_, before);
     if (res == Result::kUnknown) {
@@ -375,7 +340,7 @@ class Encoder {
   }
 
   /// LIA solver invocations made by this encoder (probes, spec queries,
-  /// fresh counterexample re-solves). Core-skipped probes never reach here.
+  /// fresh counterexample re-solves). Subsumed placements never reach here.
   [[nodiscard]] long long queries() const { return nqueries_; }
 
  private:
@@ -410,12 +375,6 @@ class Encoder {
     std::vector<char> reachable;    // cumulative location reachability
     std::vector<BatchVar> batches;
     std::vector<Edit> trail;        // emit_part's edits since the prelude
-    /// Constraint and internal-variable counts at the moment the conclusion
-    /// witness of the query being emitted was asserted (-1 before that
-    /// point): the emission-divergence markers the sibling-cut-placement
-    /// skip in query_sat compares the conflict-core maxima against.
-    int marker_cons = -1;
-    int marker_var = -1;
   };
 
   /// Position of the emission state at a segment boundary: rewinding to it
@@ -431,10 +390,6 @@ class Encoder {
   /// state to rewind to when the level is popped.
   struct Level {
     int guard = -1;
-    /// Emission markers taken just before the flip constraint — the only
-    /// constraint a same-parent sibling order does not share.
-    int marker_cons = -1;
-    int marker_var = -1;
     Solver::Checkpoint cp;
     Mark before;
   };
@@ -658,10 +613,6 @@ class Encoder {
     }
     emit_part(m, s);
     for (const spec::LocSet* set : cuts) {
-      if (spec != nullptr && set == &spec->conclusion) {
-        m.marker_cons = static_cast<int>(m.solver.constraints().size());
-        m.marker_var = m.solver.internal_size();
-      }
       witness(m, *set);
       emit_part(m, s);
     }
@@ -709,8 +660,6 @@ class Encoder {
       lv.before = mark(inc_);
       lv.cp = inc_.solver.push();
       emit_part(inc_, static_cast<int>(k));
-      lv.marker_cons = static_cast<int>(inc_.solver.constraints().size());
-      lv.marker_var = inc_.solver.internal_size();
       milestone(inc_, flips[k]);
       levels_.push_back(std::move(lv));
     }
@@ -917,12 +866,13 @@ struct UnitCancel final : util::CancelSource {
   }
 };
 
-/// One BFS work item: a milestone-order prefix plus its sibling-group id.
-/// Children of one parent share a group; UNSAT-core sibling skipping never
-/// crosses group (or unit) boundaries, which keeps it order-deterministic.
+/// One BFS work item: a milestone-order prefix, and whether every query of
+/// every proper ancestor was decided (no kUnknown from a solver cap or a
+/// cancel), which is what licenses subsuming this prefix's early placements.
+/// Handed from the stem to the unit roots with the prefix itself.
 struct PrefixItem {
   std::vector<int> flips;
-  long long group = 0;
+  bool ancestors_decided = true;
 };
 
 /// One enumeration unit: the breadth-first exploration of one milestone-
@@ -935,11 +885,11 @@ struct PrefixItem {
 /// units 1..K.
 class SubtreeRun {
  public:
-  SubtreeRun(EnumContext& cx, std::size_t index, std::vector<int> root,
-             int max_depth, std::vector<std::vector<int>>* overflow)
+  SubtreeRun(EnumContext& cx, std::size_t index, PrefixItem root,
+             int max_depth, std::vector<PrefixItem>* overflow)
       : cx_(&cx),
         index_(index),
-        depth_(static_cast<int>(root.size())),
+        depth_(static_cast<int>(root.flips.size())),
         base_depth_(depth_),
         max_depth_(max_depth),
         overflow_(overflow) {
@@ -948,7 +898,7 @@ class SubtreeRun {
     cancel_.failed = &cx.failed;
     cancel_.extra = cx.opts->extra_cancel;
     cancel_.self_key = order_key(depth_, index_);
-    cur_.push_back({std::move(root), 0});
+    cur_.push_back(std::move(root));
   }
 
   [[nodiscard]] bool active() const { return active_; }
@@ -1003,15 +953,9 @@ class SubtreeRun {
     level_charges_.push_back(0);
     level_queries_.push_back(0);
     level_pivots_.push_back(0);
-    long long group = -1;
-    bool skip_rest = false;
-    for (PrefixItem& item : cur_) {
+    for (const PrefixItem& item : cur_) {
       if (!poll()) break;
-      if (item.group != group) {
-        group = item.group;
-        skip_rest = false;
-      }
-      if (!process(item, &skip_rest)) break;
+      if (!process(item)) break;
     }
     level_queries_.back() = encoder_->queries() - query_mark_;
     query_mark_ = encoder_->queries();
@@ -1069,8 +1013,8 @@ class SubtreeRun {
     stopped_ = true;
   }
 
-  /// Reserves one schema query from the shared budget (core-skipped probes
-  /// included, which is what keeps nschemas independent of core_skip).
+  /// Reserves one schema query from the shared budget (subsumed placements
+  /// included, which is what keeps nschemas independent of subsumption).
   bool charge_one() {
     if (!cx_->budget->charge(1)) {
       hit_budget();
@@ -1096,37 +1040,30 @@ class SubtreeRun {
     }
   }
 
-  /// One prefix: feasibility probe (with UNSAT-core sibling skipping), spec
-  /// queries over the witness cut placements, then expansion. Returns false
-  /// when the run must stop.
-  bool process(const PrefixItem& item, bool* skip_rest) {
+  /// One prefix: feasibility probe, spec queries over the witness cut
+  /// placements, then expansion. Returns false when the run must stop.
+  bool process(const PrefixItem& item) {
     const std::vector<int>& flips = item.flips;
     const CheckOptions& opts = *cx_->opts;
     const spec::Spec& spec = *cx_->spec;
+    // Whether every query of this prefix and its ancestors was decided: the
+    // children's PrefixItem::ancestors_decided.
+    bool decided = item.ancestors_decided;
     // The prefix query is a sub-conjunction of every extension's query, so
     // an unrealizable prefix prunes its whole subtree without losing
     // counterexamples. This is what keeps category (C) tractable.
     if (!flips.empty()) {
       if (!charge_one()) return false;
-      if (*skip_rest) {
-        // A same-group sibling's probe was refuted without its final
-        // milestone constraint — the only constraint this prefix does not
-        // share — so this probe is UNSAT too. Charged like a real probe
-        // (verdicts, nschemas, and report bytes are unchanged); the solver
-        // call is skipped, which is where the query/pivot counts drop.
-        obs::add(obs::Counter::kSchemaCoreSkips);
-        return true;
-      }
-      bool unknown = false, sat = false, siblings_unsat = false;
+      bool unknown = false, sat = false;
       if (opts.incremental) {
-        sat = encoder_->probe(
-            flips, &unknown, opts.core_skip ? &siblings_unsat : nullptr);
+        sat = encoder_->probe(flips, &unknown);
       } else {
         (void)encoder_->solve_fresh(flips, -1, -1, nullptr, &unknown, &sat);
       }
-      if (unknown) note_unknown();
-      if (!sat && !unknown) {
-        if (siblings_unsat) *skip_rest = true;
+      if (unknown) {
+        note_unknown();
+        decided = false;
+      } else if (!sat) {
         return true;  // subtree pruned
       }
     }
@@ -1144,34 +1081,32 @@ class SubtreeRun {
                        ? first_witness_segment(*cx_->table, *cx_->rules,
                                                spec.conclusion, flips)
                        : -1;
-    const bool cut_skip = opts.core_skip && opts.incremental &&
-                          cx_->two_cuts;
+    // Ancestor subsumption: a placement whose cuts both lie before the open
+    // last segment m - 1 is the same placement of the ancestor prefix
+    // flips[0..max(c1, c2)) plus more constraints (that segment's milestone
+    // and every later segment). The ancestor asked it first; it found no
+    // counterexample there, and with every ancestor query decided that
+    // answer was UNSAT, so this placement is UNSAT too: charged, not solved.
+    // The fresh encoder stays the reference that solves every placement.
+    const bool subsume =
+        cx_->two_cuts && opts.incremental && item.ancestors_decided;
     for (int c1 = c1_lo; c1 < m; ++c1) {
       int c2_lo = cx_->two_cuts ? c2_first : -1;
       int c2_hi = cx_->two_cuts ? m - 1 : -1;
-      // Set once an UNSAT at (c1, c2) is refuted by a core that ends before
-      // the conclusion witness: every later (c1, c2' > c2) placement of the
-      // unswapped within-segment order embeds that core and is skipped
-      // (still charged, so nschemas and report bytes are unchanged).
-      bool c2_rest_unsat = false;
       for (int c2 = c2_lo; c2 <= c2_hi; ++c2) {
         for (int swap = 0; swap <= (cx_->two_cuts && c1 == c2 ? 1 : 0);
              ++swap) {
           if (!poll()) return false;
           if (!charge_one()) return false;
-          if (c2_rest_unsat && swap == 0) {
-            obs::add(obs::Counter::kSchemaCoreSkips);
-            continue;  // UNSAT by embedding
+          if (subsume && std::max(c1, c2) < m - 1) {
+            obs::add(obs::Counter::kSchemaSubsumed);
+            continue;
           }
           bool unknown = false;
           std::optional<Counterexample> ce;
           if (opts.incremental) {
-            bool later_unsat = false;
-            bool sat = encoder_->query_sat(
-                flips, c1, c2, swap == 1, spec, &unknown,
-                cut_skip && swap == 0 ? &later_unsat : nullptr);
-            if (later_unsat) c2_rest_unsat = true;
-            if (sat) {
+            if (encoder_->query_sat(flips, c1, c2, swap == 1, spec,
+                                    &unknown)) {
               // Re-solve the hit in a fresh solver: the reported model (and
               // the minimized parameters) must not depend on warm-solver
               // state, so reports stay identical across enumeration paths.
@@ -1192,7 +1127,10 @@ class SubtreeRun {
             ce = encoder_->solve_fresh(flips, c1, c2, &spec, &unknown,
                                        nullptr, swap == 1);
           }
-          if (unknown) note_unknown();
+          if (unknown) {
+            note_unknown();
+            decided = false;
+          }
           if (ce) {
             found_ce(std::move(*ce));
             return false;
@@ -1203,13 +1141,12 @@ class SubtreeRun {
     // Expand admissible extensions; split-depth children become unit roots.
     std::vector<bool> used(cx_->table->guards.size(), false);
     for (int g : flips) used[static_cast<std::size_t>(g)] = true;
-    long long group = next_group_++;
     for (int g = 0; g < cx_->table->num_guards(); ++g) {
       if (!cx_->enumerator->admissible_next(g, flips, used)) continue;
-      std::vector<int> child = flips;
-      child.push_back(g);
+      PrefixItem child{flips, decided};
+      child.flips.push_back(g);
       if (depth_ + 1 < max_depth_) {
-        next_.push_back({std::move(child), group});
+        next_.push_back(std::move(child));
       } else {
         overflow_->push_back(std::move(child));
       }
@@ -1222,12 +1159,11 @@ class SubtreeRun {
   int depth_;            // depth of the prefixes in cur_
   const int base_depth_;
   const int max_depth_;  // exclusive: deeper children go to overflow_
-  std::vector<std::vector<int>>* overflow_;
+  std::vector<PrefixItem>* overflow_;
 
   UnitCancel cancel_;
   std::unique_ptr<Encoder> encoder_;  // from adoption until the unit is done
   std::vector<PrefixItem> cur_, next_;
-  long long next_group_ = 1;
 
   // Per-level tallies (indexed from base_depth_) for the canonical merge.
   std::vector<long long> level_charges_, level_queries_, level_pivots_;
@@ -1285,7 +1221,7 @@ CheckResult check_spec(const ta::System& sys, const spec::Spec& spec,
   // one warm solver. It is canonically first at every level, so it runs to
   // completion (or to its counterexample) before any unit starts, and its
   // expansion yields the unit roots in canonical sibling order.
-  std::vector<std::vector<int>> roots;
+  std::vector<PrefixItem> roots;
   SubtreeRun stem(cx, 0, {}, split, &roots);
   while (stem.active()) stem.advance_level();
 

@@ -205,8 +205,9 @@ struct CheckOptions {
   /// afterwards. Off = rebuild the model from scratch per query (the
   /// pre-incremental behavior, kept as the reference encoder of
   /// IncrementalEncoderMatchesFreshEncoder). Verdicts, reports, and
-  /// nschemas are identical either way; only pivot counts and wall-clock
-  /// differ.
+  /// nschemas are identical either way; only query and pivot counts and
+  /// wall-clock differ (the fresh encoder also solves every placement the
+  /// incremental one subsumes, see CheckResult::nqueries).
   bool incremental = true;
   /// Enumeration workers inside one check_spec call (0 = hardware
   /// concurrency). The milestone-order tree is split at partition_depth
@@ -224,22 +225,12 @@ struct CheckOptions {
   /// Depth of the static partition split. Prefixes shorter than this form
   /// the serial "stem" (canonically first at every level); every surviving
   /// prefix of exactly this depth roots one subtree unit. Reports are
-  /// byte-identical for any value; only pivot/query counts shift (per-unit
-  /// warm solvers and sibling skipping regroup at the split boundary).
+  /// byte-identical for any value; only pivot counts shift (per-unit warm
+  /// solvers regroup at the split boundary). Query counts do not: the one
+  /// query-count input that crosses the split, a root's "ancestors
+  /// decided" bit, travels with the root from the stem into its unit, so
+  /// equal counts across depths check that hand-off.
   int partition_depth = 2;
-  /// UNSAT-core-lite sibling skipping: when a query is refuted by a
-  /// conflict core confined to the emission prefix it shares with its
-  /// pending siblings, those siblings are unsatisfiable by embedding and
-  /// are charged but not solved. Two surfaces: sibling milestone orders of
-  /// a prefix probe (core before the final milestone constraint — provably
-  /// near-vacuous when the parent probed feasible, kept for the
-  /// unknown-parent edge) and, the one that fires in practice, later
-  /// conclusion-witness placements of a spec query (core before the
-  /// conclusion cut, e.g. a LIA-infeasible premise placement killing the
-  /// whole cut row). Verdicts, nschemas, and report bytes are unchanged for
-  /// either value; only solver-query and pivot counts drop. Requires
-  /// `incremental` (the fresh-encoder baseline never skips).
-  bool core_skip = true;
   /// Pool to run the enumeration workers on (not owned; may be null, in
   /// which case workers > 1 builds a private pool of workers - 1 threads
   /// for this call). The calling thread always acts as worker 0 and drains
@@ -297,9 +288,11 @@ struct CheckResult {
   bool holds = false;     // no counterexample found
   bool complete = false;  // enumeration finished within budget
   long long nschemas = 0; // schemas charged to the budget (incl. skipped)
-  /// LIA solver invocations actually made. nqueries == nschemas plus CE
-  /// re-solves, minus the probes discharged by UNSAT-core sibling skipping
-  /// — the number core_skip drives down while nschemas stays put.
+  /// LIA solver invocations actually made: nschemas plus CE re-solves,
+  /// minus the F→G witness placements the incremental encoder subsumes (a
+  /// placement whose cuts both precede the prefix's last segment repeats a
+  /// decided ancestor's placement under more constraints, so it is charged
+  /// but not solved). Subsumption lowers this while nschemas stays put.
   long long nqueries = 0;
   long long npivots = 0;  // simplex pivots spent on those schemas
   double seconds = 0.0;

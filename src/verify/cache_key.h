@@ -18,8 +18,8 @@
 //
 // Deliberately EXCLUDED, because the repo's determinism contract proves them
 // byte-neutral (tests + CI enforce it): jobs, workers, partition_depth,
-// incremental, core_skip, observability flags, and replay_ce (replay is
-// deterministic and recomputed on cache hits).
+// incremental, observability flags, and replay_ce (replay is deterministic
+// and recomputed on cache hits).
 #pragma once
 
 #include <cstddef>

@@ -140,8 +140,8 @@ struct Obligation {
   bool complete = false;
   RunState run_state = RunState::kSkipped;
   long long nschemas = 0;
-  /// LIA solver invocations actually made (nschemas minus the probes
-  /// discharged by UNSAT-core sibling skipping, plus CE re-solves). Zero
+  /// LIA solver invocations actually made (nschemas minus the witness
+  /// placements subsumed by a decided ancestor, plus CE re-solves). Zero
   /// for sweeps. Informational — never rendered into reports.
   long long nqueries = 0;
   /// Simplex pivots spent by the schema checker on this obligation (zero

@@ -175,43 +175,10 @@ TEST(ParallelPipeline, WorkersJobsMatrixEquivalence) {
                             << slots[1].units;
 }
 
-TEST(ParallelPipeline, CoreSkipPreservesReportBytesAndCutsQueries) {
-  // UNSAT-core sibling skipping may only reduce solver-query and pivot
-  // counts; every rendered byte — verdicts, counterexamples, nschemas —
-  // stays put (skipped probes are still charged to the budget).
-  frontend::ProtocolRegistry registry =
-      frontend::ProtocolRegistry::with_builtins();
-  long long q_skip = 0, q_full = 0, p_skip = 0, p_full = 0;
-  for (const std::string& name : registry.names()) {
-    if (!conclusively_cheap(name)) continue;
-    protocols::ProtocolModel pm = registry.make(name);
-    Options opts;
-    opts.jobs = 1;
-    opts.run_sweeps = false;
-    opts.schema.core_skip = false;
-    ProtocolReport full = verify_protocol(pm, opts);
-    opts.schema.core_skip = true;
-    ProtocolReport skip = verify_protocol(pm, opts);
-    EXPECT_EQ(report_text(full), report_text(skip)) << name;
-    const Counts f = count_totals(full), k = count_totals(skip);
-    q_full += f[1];
-    p_full += f[2];
-    q_skip += k[1];
-    p_skip += k[2];
-  }
-  EXPECT_LE(q_skip, q_full);
-  EXPECT_LE(p_skip, p_full);
-  // No strict-drop assertion here: on the registry protocols the syntactic
-  // first-witness bound already collapses every conclusion-cut row to a
-  // single placement, so the core skip has no queries to discharge (see
-  // CheckSpec.CoreSkipCutsQueriesWhereWitnessRowsAreLong for a system
-  // where the row is long and the reduction is observable and asserted).
-}
-
 TEST(ParallelPipeline, PartitionDepthDoesNotChangeReportBytes) {
-  // The static split depth regroups per-unit warm solvers and sibling
-  // skipping, so pivot/query counts may shift — but the canonical order,
-  // and with it every rendered byte, is split-invariant.
+  // The static split depth regroups per-unit warm solvers, so pivot counts
+  // may shift — but the canonical order, and with it every rendered byte,
+  // is split-invariant.
   frontend::ProtocolRegistry registry =
       frontend::ProtocolRegistry::with_builtins();
   for (const char* name : {"NaiveVoting", "CC85a", "KS16"}) {
@@ -269,6 +236,25 @@ TEST(ParallelPipeline, IncrementalEncoderMatchesFreshEncoder) {
   }
   EXPECT_LE(double(incremental_pivots), 1.2 * double(fresh_pivots))
       << "fresh " << fresh_pivots << ", incremental " << incremental_pivots;
+  // A CB4 obligation, whose witness placements the incremental encoder
+  // subsumes below decided ancestors: the first 2,000 schemas of ABY22's
+  // CB4 render the same cut from both encoders, and the incremental one
+  // solves fewer queries than it charges.
+  protocols::ProtocolModel aby22 = registry.make("ABY22");
+  Options opts;
+  opts.jobs = 1;
+  opts.schema.workers = 1;
+  opts.run_sweeps = false;
+  opts.only_obligations = {"CB4"};
+  opts.schema.max_schemas = 2000;
+  opts.schema.incremental = false;
+  ProtocolReport fresh = verify_protocol(aby22, opts);
+  opts.schema.incremental = true;
+  ProtocolReport incremental = verify_protocol(aby22, opts);
+  EXPECT_EQ(report_text(fresh), report_text(incremental));
+  const Counts cb4 = count_totals(incremental);
+  EXPECT_EQ(cb4[0], 2000);
+  EXPECT_LT(cb4[1], cb4[0]);
 }
 
 TEST(ParallelPipeline, SharedPoolAsyncMatchesSerial) {

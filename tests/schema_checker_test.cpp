@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -251,11 +252,9 @@ TEST(CheckSpec, BudgetExhaustionIsInconclusive) {
 /// syntactically placeable from segment 0 — the L→A hop is unguarded,
 /// which is all first_witness_segment's direct-rule scan sees — but
 /// LIA-infeasible before the w>=1 guard flips (L is only fed by a gated
-/// rule). The conclusion-cut row at early c1 then dies by UNSAT-core
-/// embedding after a single solve, which is the surface the core_skip
-/// optimization needs. (On the registry protocols the syntactic witness
-/// bound already collapses every cut row to length one, so this is where
-/// the skip's query reduction is actually observable.)
+/// rule). The empty prefix then refutes its segment-0 placements, and the
+/// prefix that flips w>=1 repeats them under one more milestone: the
+/// placements ancestor subsumption skips.
 ta::System witness_gap_system() {
   SystemBuilder b("WitnessGap");
   ParamId n = b.param("n");
@@ -274,7 +273,7 @@ ta::System witness_gap_system() {
   return b.build();
 }
 
-TEST(CheckSpec, CoreSkipCutsQueriesWhereWitnessRowsAreLong) {
+TEST(CheckSpec, AncestorSubsumptionSkipsTheSameQueriesAtEveryWidth) {
   ta::System rd = prepared(witness_gap_system());
   spec::Spec s;
   s.name = "gap";
@@ -282,24 +281,40 @@ TEST(CheckSpec, CoreSkipCutsQueriesWhereWitnessRowsAreLong) {
   s.premise = spec::LocSet::process({rd.process.find_loc("A")});
   s.conclusion = spec::LocSet::process({rd.process.find_loc("B")});
 
-  CheckOptions opts;
-  opts.workers = 1;
-  opts.core_skip = false;
-  CheckResult full = check_spec(rd, s, opts);
-  opts.core_skip = true;
-  CheckResult skip = check_spec(rd, s, opts);
+  // The fresh encoder is the reference: it solves every charged schema.
+  CheckOptions fresh;
+  fresh.workers = 1;
+  fresh.incremental = false;
+  CheckResult ref = check_spec(rd, s, fresh);
+  EXPECT_EQ(ref.nschemas, 7);
+  EXPECT_EQ(ref.nqueries, 7);
 
-  // Identical verdict, schema charges, and counterexample bytes...
-  EXPECT_EQ(full.holds, skip.holds);
-  EXPECT_EQ(full.complete, skip.complete);
-  EXPECT_EQ(full.nschemas, skip.nschemas);
-  ASSERT_EQ(full.ce.has_value(), skip.ce.has_value());
-  if (full.ce) {
-    EXPECT_EQ(full.ce->text, skip.ce->text);
+  // The incremental encoder charges the same schemas and reports the same
+  // verdict and counterexample, but does not solve the placements the
+  // empty prefix already refuted. Which placements those are depends on
+  // neither the width nor the split: at depth 1 the bit that licenses the
+  // skip crosses from the stem into a unit root.
+  std::optional<long long> queries;
+  for (int workers : {1, 2, 8}) {
+    for (int depth : {1, 2, 3}) {
+      CheckOptions opts;
+      opts.workers = workers;
+      opts.partition_depth = depth;
+      CheckResult res = check_spec(rd, s, opts);
+      const std::string tag = "workers=" + std::to_string(workers) +
+                              " depth=" + std::to_string(depth);
+      EXPECT_EQ(res.holds, ref.holds) << tag;
+      EXPECT_EQ(res.complete, ref.complete) << tag;
+      EXPECT_EQ(res.nschemas, ref.nschemas) << tag;
+      ASSERT_EQ(res.ce.has_value(), ref.ce.has_value()) << tag;
+      if (ref.ce) {
+        EXPECT_EQ(res.ce->text, ref.ce->text) << tag;
+      }
+      if (!queries) queries = res.nqueries;
+      EXPECT_EQ(res.nqueries, *queries) << tag;
+      EXPECT_LT(res.nqueries, ref.nqueries) << tag;
+    }
   }
-  // ...while the skip discharges part of the cut row without the solver.
-  EXPECT_LT(skip.nqueries, full.nqueries);
-  EXPECT_LE(skip.npivots, full.npivots);
 }
 
 TEST(CheckSpec, MidSubtreeBudgetCancellationNeverFlipsVerdict) {

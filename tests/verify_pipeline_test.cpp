@@ -20,14 +20,8 @@ protocols::ProtocolModel builtin(const std::string& name) {
   return frontend::ProtocolRegistry::with_builtins().make(name);
 }
 
-Options fast_options() {
-  Options opts;
-  opts.schema.time_budget_s = 120.0;
-  return opts;
-}
-
 TEST(Pipeline, Cc85aFullyVerifies) {
-  ProtocolReport r = verify_protocol(builtin("CC85a"), fast_options());
+  ProtocolReport r = verify_protocol(builtin("CC85a"));
   EXPECT_TRUE(r.agreement.holds());
   EXPECT_TRUE(r.validity.holds());
   EXPECT_TRUE(r.termination.holds());
@@ -51,7 +45,7 @@ TEST(Pipeline, Cc85aFullyVerifies) {
 }
 
 TEST(Pipeline, Rabin83CategoryAVerifies) {
-  ProtocolReport r = verify_protocol(builtin("Rabin83"), fast_options());
+  ProtocolReport r = verify_protocol(builtin("Rabin83"));
   EXPECT_EQ(r.category, protocols::Category::kA);
   EXPECT_TRUE(r.validity.holds());
   EXPECT_TRUE(r.termination.holds());
@@ -64,7 +58,7 @@ TEST(Pipeline, Rabin83CategoryAVerifies) {
 
 TEST(Pipeline, Fmr05AndCc85bVerify) {
   for (const char* name : {"FMR05", "CC85b"}) {
-    ProtocolReport r = verify_protocol(builtin(name), fast_options());
+    ProtocolReport r = verify_protocol(builtin(name));
     EXPECT_TRUE(r.agreement.holds()) << r.protocol;
     EXPECT_TRUE(r.validity.holds()) << r.protocol;
     EXPECT_TRUE(r.termination.holds()) << r.protocol;
@@ -72,14 +66,14 @@ TEST(Pipeline, Fmr05AndCc85bVerify) {
 }
 
 TEST(Pipeline, Ks16Verifies) {
-  ProtocolReport r = verify_protocol(builtin("KS16"), fast_options());
+  ProtocolReport r = verify_protocol(builtin("KS16"));
   EXPECT_TRUE(r.agreement.holds());
   EXPECT_TRUE(r.validity.holds());
   EXPECT_TRUE(r.termination.holds());
 }
 
 TEST(Pipeline, TableFormatting) {
-  ProtocolReport r = verify_protocol(builtin("CC85a"), fast_options());
+  ProtocolReport r = verify_protocol(builtin("CC85a"));
   std::string header = table2_header();
   std::string row = table2_row(r);
   EXPECT_NE(header.find("nschemas"), std::string::npos);
@@ -200,7 +194,7 @@ TEST(Pipeline, ObservabilityIsOutOfBand) {
     std::vector<std::string> renders;
     for (int jobs : widths) {
       for (int workers : widths) {
-        Options opts = fast_options();
+        Options opts;
         opts.jobs = jobs;
         opts.schema.workers = workers;
         renders.push_back(report_text(verify_protocol(pm, opts)));
