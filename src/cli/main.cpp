@@ -520,15 +520,14 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
       models, args.jobs,
       [&](const ProtocolModel&) { return std::optional(opts); });
 
-  bool all_verified = true;
+  bool all_hold = true;
   bool any_error = false;
   std::cout << ctaver::verify::table2_header(timed_rows) << "\n";
   for (const auto& slot : maybe_reports) {
     const ctaver::verify::ProtocolReport& report = *slot;
     std::cout << (timed_rows ? ctaver::verify::table2_row(report) + "\n"
                              : ctaver::verify::report_text(report));
-    all_verified = all_verified && report.agreement.holds() &&
-                   report.validity.holds() && report.termination.holds();
+    all_hold = all_hold && report.planned_hold();
     any_error = any_error || report.agreement.has_error() ||
                 report.validity.has_error() || report.termination.has_error();
   }
@@ -536,7 +535,7 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
   // incomplete-by-failure, so neither a clean 0 nor a plain verdict 1 would
   // be trustworthy (and CI fault-smoke assertions stay deterministic even on
   // protocols that also have a genuine counterexample).
-  int code = any_error ? 3 : all_verified ? 0 : 1;
+  int code = any_error ? 3 : all_hold ? 0 : 1;
   if (journal) journal->run_end(run_id, code);
   return code;
 }

@@ -5,19 +5,18 @@
 
 namespace ctaver::cs {
 
-std::size_t ConfigHash::operator()(const Config& c) const {
-  // FNV-1a over both counter vectors.
-  std::size_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (int32_t k : c.kappa) mix(static_cast<std::uint64_t>(k));
-  for (long long v : c.g) mix(static_cast<std::uint64_t>(v));
-  return h;
-}
+namespace {
+
+/// A Config read through the flat slot layout: κ slots, then g slots.
+struct ConfigRow {
+  const Config& c;
+  long long operator[](std::uint32_t slot) const {
+    return slot < c.kappa.size() ? c.kappa[slot]
+                                 : c.g[slot - c.kappa.size()];
+  }
+};
+
+}  // namespace
 
 ExplicitSystem::ExplicitSystem(const ta::System& sys,
                                std::vector<long long> params, int rounds)
@@ -34,6 +33,48 @@ ExplicitSystem::ExplicitSystem(const ta::System& sys,
   }
   num_processes_ = sys.env.num_processes.eval(params_);
   num_coins_ = sys.env.num_coins.eval(params_);
+
+  const int nvars = static_cast<int>(sys.vars.size());
+  kappa_slots_ = static_cast<std::size_t>(rounds_ * locs_per_round());
+  slots_ = kappa_slots_ + static_cast<std::size_t>(rounds_ * nvars);
+  auto var_slot = [&](int round, ta::VarId v) {
+    return static_cast<std::uint32_t>(kappa_slots_) +
+           static_cast<std::uint32_t>(round * nvars + v);
+  };
+  for (int round = 0; round < rounds_; ++round) {
+    for (bool coin : {false, true}) {
+      const ta::Automaton& a = automaton(coin);
+      for (ta::RuleId id = 0; id < static_cast<ta::RuleId>(a.rules.size());
+           ++id) {
+        const ta::Rule& r = a.rules[static_cast<std::size_t>(id)];
+        Step st;
+        st.action = {coin, id, round};
+        st.from = kappa_slot(coin, r.from, round);
+        for (const auto& [target, prob] : r.to.outcomes) {
+          const int to_round = dest_round(coin, r, round, target);
+          if (to_round >= rounds_) st.truncated = true;
+          st.to.push_back({kappa_slot(coin, target, to_round), prob});
+        }
+        for (const ta::Guard& g : r.guards) {
+          Step::GuardRow row;
+          row.rel = g.rel;
+          row.rhs = g.rhs.eval(params_);
+          for (const auto& [v, b] : g.lhs) {
+            row.lhs.push_back({var_slot(round, v), b});
+          }
+          st.guards.push_back(std::move(row));
+        }
+        for (ta::VarId v = 0; v < nvars; ++v) {
+          if (long long u = r.update_of(v); u != 0) {
+            st.updates.push_back({var_slot(round, v), u});
+          }
+        }
+        st.self_loop = r.is_dirac() && r.to.dirac_target() == r.from &&
+                       r.has_zero_update() && !r.is_round_switch;
+        steps_.push_back(std::move(st));
+      }
+    }
+  }
 }
 
 int ExplicitSystem::dest_round(bool coin, const ta::Rule& r, int from_round,
@@ -46,87 +87,66 @@ int ExplicitSystem::dest_round(bool coin, const ta::Rule& r, int from_round,
   return dst.role == ta::LocRole::kBorder ? from_round + 1 : from_round;
 }
 
-bool ExplicitSystem::unlocked(const Config& c, const Action& a) const {
-  const ta::Rule& r =
-      automaton(a.coin).rules[static_cast<std::size_t>(a.rule)];
-  const int base = a.round * static_cast<int>(sys_->vars.size());
-  for (const ta::Guard& guard : r.guards) {
-    long long lhs = 0;
-    for (const auto& [v, b] : guard.lhs) {
-      lhs += b * c.g[static_cast<std::size_t>(base + v)];
-    }
-    long long rhs = guard.rhs.eval(params_);
-    bool ok = guard.rel == ta::GuardRel::kGe ? lhs >= rhs : lhs < rhs;
-    if (!ok) return false;
+const ExplicitSystem::Step* ExplicitSystem::find_step(const Action& a) const {
+  const auto np = static_cast<ta::RuleId>(sys_->process.rules.size());
+  const auto nc = static_cast<ta::RuleId>(sys_->coin.rules.size());
+  if (a.round < 0 || a.round >= rounds_ || a.rule < 0 ||
+      a.rule >= (a.coin ? nc : np)) {
+    return nullptr;
   }
-  return true;
+  return &steps_[static_cast<std::size_t>(a.round * (np + nc) +
+                                          (a.coin ? np : 0) + a.rule)];
+}
+
+bool ExplicitSystem::unlocked(const Config& c, const Action& a) const {
+  const Step* st = find_step(a);
+  return st != nullptr && st->unlocked(ConfigRow{c});
 }
 
 bool ExplicitSystem::applicable(const Config& c, const Action& a) const {
-  const ta::Rule& r =
-      automaton(a.coin).rules[static_cast<std::size_t>(a.rule)];
-  if (a.round < 0 || a.round >= rounds_) return false;
-  if (kappa(c, a.coin, r.from, a.round) < 1) return false;
-  // A round-switch out of the last modeled round is truncated.
-  for (const auto& [to, p] : r.to.outcomes) {
-    (void)p;
-    if (dest_round(a.coin, r, a.round, to) >= rounds_) return false;
-  }
-  return unlocked(c, a);
-}
-
-bool ExplicitSystem::is_self_loop(bool coin, ta::RuleId rule) const {
-  const ta::Rule& r = automaton(coin).rules[static_cast<std::size_t>(rule)];
-  return r.is_dirac() && r.to.dirac_target() == r.from &&
-         r.has_zero_update() && !r.is_round_switch;
+  const Step* st = find_step(a);
+  return st != nullptr && st->enabled(ConfigRow{c});
 }
 
 std::vector<Action> ExplicitSystem::applicable_actions(
     const Config& c, bool include_self_loops) const {
   std::vector<Action> out;
-  for (int round = 0; round < rounds_; ++round) {
-    for (bool coin : {false, true}) {
-      const ta::Automaton& a = automaton(coin);
-      for (ta::RuleId r = 0; r < static_cast<ta::RuleId>(a.rules.size());
-           ++r) {
-        if (!include_self_loops && is_self_loop(coin, r)) continue;
-        Action act{coin, r, round};
-        if (applicable(c, act)) out.push_back(act);
-      }
-    }
+  for (const Step& st : steps_) {
+    if (st.self_loop && !include_self_loops) continue;
+    if (st.enabled(ConfigRow{c})) out.push_back(st.action);
   }
   return out;
 }
 
+const ExplicitSystem::Step& ExplicitSystem::fired_step(const Action& a) const {
+  const Step* st = find_step(a);
+  if (st == nullptr || st->truncated) {
+    throw std::invalid_argument(
+        "ExplicitSystem: action outside the modeled rules and rounds");
+  }
+  return *st;
+}
+
 Config ExplicitSystem::apply_outcome(const Config& c, const Action& a,
                                      int outcome_index) const {
-  const ta::Rule& r =
-      automaton(a.coin).rules[static_cast<std::size_t>(a.rule)];
-  const auto& [target, prob] =
-      r.to.outcomes[static_cast<std::size_t>(outcome_index)];
-  (void)prob;
   Config out = c;
-  const int lpr = locs_per_round();
-  out.kappa[static_cast<std::size_t>(a.round * lpr + gloc(a.coin, r.from))]--;
-  int to_round = dest_round(a.coin, r, a.round, target);
-  out.kappa[static_cast<std::size_t>(to_round * lpr +
-                                     gloc(a.coin, target))]++;
-  const int base = a.round * static_cast<int>(sys_->vars.size());
-  for (ta::VarId v = 0; v < static_cast<ta::VarId>(sys_->vars.size()); ++v) {
-    long long u = r.update_of(v);
-    if (u != 0) out.g[static_cast<std::size_t>(base + v)] += u;
-  }
+  fired_step(a).fire(static_cast<std::size_t>(outcome_index),
+                     [&out](std::uint32_t slot, long long delta) {
+                       if (slot < out.kappa.size()) {
+                         out.kappa[slot] += static_cast<int32_t>(delta);
+                       } else {
+                         out.g[slot - out.kappa.size()] += delta;
+                       }
+                     });
   return out;
 }
 
 std::vector<Outcome> ExplicitSystem::apply(const Config& c,
                                            const Action& a) const {
-  const ta::Rule& r =
-      automaton(a.coin).rules[static_cast<std::size_t>(a.rule)];
   std::vector<Outcome> out;
-  for (int i = 0; i < static_cast<int>(r.to.outcomes.size()); ++i) {
-    out.push_back(
-        {apply_outcome(c, a, i), r.to.outcomes[static_cast<std::size_t>(i)].second});
+  const Step& st = fired_step(a);
+  for (std::size_t i = 0; i < st.to.size(); ++i) {
+    out.push_back({apply_outcome(c, a, static_cast<int>(i)), st.to[i].prob});
   }
   return out;
 }
@@ -233,6 +253,20 @@ std::string ExplicitSystem::describe(const Config& c) const {
     if (round + 1 < rounds_) os << " ";
   }
   return os.str();
+}
+
+std::string ExplicitSystem::slot_name(std::uint32_t slot) const {
+  if (slot < kappa_slots_) {
+    const int round = static_cast<int>(slot) / locs_per_round();
+    const int l = static_cast<int>(slot) % locs_per_round();
+    const bool coin = l >= n_proc_locs_;
+    const ta::Location& loc = automaton(coin).locations[
+        static_cast<std::size_t>(coin ? l - n_proc_locs_ : l)];
+    return (coin ? "coin:" : "") + loc.name + "@r" + std::to_string(round);
+  }
+  const std::size_t j = slot - kappa_slots_;
+  return sys_->vars[j % sys_->vars.size()].name + "@r" +
+         std::to_string(j / sys_->vars.size());
 }
 
 std::string ExplicitSystem::describe(const Action& a) const {

@@ -12,10 +12,17 @@
 // configuration. Action enumeration therefore skips self-loops; terminal
 // configurations are exactly the "terminal modulo self-loops" ones, and
 // maximal finite paths coincide with the fair executions of Sect. III-D.
+//
+// One step table. The constructor compiles every (round, automaton, rule)
+// into a Step whose locations, variables and rounds are resolved to *slots*
+// of one flat layout — the κ slots (Config::kappa's order), then the g slots
+// (Config::g's) — and whose guard thresholds are evaluated at the
+// parameters. The table is the only source of the counter-system semantics:
+// the Config operations below run on it, and so do StateGraph's packed rows
+// and, through applicable/apply_outcome, counterexample replay.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,10 +42,6 @@ struct Config {
   bool operator==(const Config&) const = default;
 };
 
-struct ConfigHash {
-  std::size_t operator()(const Config& c) const;
-};
-
 /// Action α = (rule, round). `coin` selects the automaton.
 struct Action {
   bool coin = false;
@@ -56,6 +59,69 @@ struct Outcome {
 
 class ExplicitSystem {
  public:
+  /// One action compiled for this parameter valuation: `action.rule` of one
+  /// automaton fired in round `action.round`, every operand a slot.
+  struct Step {
+    /// coeff · row[slot], a guard's left-hand-side term.
+    struct Term {
+      std::uint32_t slot = 0;
+      long long coeff = 0;
+    };
+    /// Σ lhs  REL  rhs, the threshold evaluated at the parameters.
+    struct GuardRow {
+      std::vector<Term> lhs;
+      ta::GuardRel rel = ta::GuardRel::kGe;
+      long long rhs = 0;
+    };
+    /// One outcome: the κ slot the process moves to, and its probability.
+    struct Branch {
+      std::uint32_t slot = 0;
+      util::Rational prob;
+    };
+    /// A variable increment of the source round.
+    struct Update {
+      std::uint32_t slot = 0;
+      long long delta = 0;
+    };
+
+    Action action;
+    std::uint32_t from = 0;  // source κ slot
+    std::vector<Branch> to;
+    std::vector<GuardRow> guards;
+    std::vector<Update> updates;  // non-zero only
+    /// A zero-update self-loop: firing it never changes the configuration.
+    bool self_loop = false;
+    /// A round-switch out of the last modeled round: never applicable.
+    bool truncated = false;
+
+    /// Guard truth (c, k |= φ) on `row`, anything indexable by slot.
+    template <class Row>
+    [[nodiscard]] bool unlocked(const Row& row) const {
+      for (const GuardRow& g : guards) {
+        long long lhs = 0;
+        for (const Term& t : g.lhs) {
+          lhs += t.coeff * static_cast<long long>(row[t.slot]);
+        }
+        const bool ok = g.rel == ta::GuardRel::kGe ? lhs >= g.rhs : lhs < g.rhs;
+        if (!ok) return false;
+      }
+      return true;
+    }
+    /// Applicable: modeled, some process at the source, and unlocked.
+    template <class Row>
+    [[nodiscard]] bool enabled(const Row& row) const {
+      return !truncated && row[from] >= 1 && unlocked(row);
+    }
+    /// Fires outcome `i` as `add(slot, delta)` calls: the source loses a
+    /// process, the outcome's target gains it, the updates apply.
+    template <class Add>
+    void fire(std::size_t i, Add&& add) const {
+      add(from, -1);
+      add(to[i].slot, 1);
+      for (const Update& u : updates) add(u.slot, u.delta);
+    }
+  };
+
   /// `params` must be admissible for sys.env. `rounds` bounds the number of
   /// modeled rounds (>= 1); round-switch rules into rounds >= `rounds` are
   /// not applicable.
@@ -76,13 +142,28 @@ class ExplicitSystem {
 
   [[nodiscard]] int32_t kappa(const Config& c, bool coin, ta::LocId l,
                               int round) const {
-    return c.kappa[static_cast<std::size_t>(round * locs_per_round() +
-                                            gloc(coin, l))];
+    return c.kappa[kappa_slot(coin, l, round)];
   }
   [[nodiscard]] long long var(const Config& c, ta::VarId v, int round) const {
     return c.g[static_cast<std::size_t>(
         round * static_cast<int>(sys_->vars.size()) + v)];
   }
+
+  /// The flat layout: κ slots (round-major, as Config::kappa), then g
+  /// slots (as Config::g).
+  [[nodiscard]] std::uint32_t kappa_slot(bool coin, ta::LocId l,
+                                         int round) const {
+    return static_cast<std::uint32_t>(round * locs_per_round() +
+                                      gloc(coin, l));
+  }
+  [[nodiscard]] std::size_t kappa_slots() const { return kappa_slots_; }
+  [[nodiscard]] std::size_t slots() const { return slots_; }
+  /// "loc@rK", "coin:loc@rK" or "var@rK", for diagnostics.
+  [[nodiscard]] std::string slot_name(std::uint32_t slot) const;
+
+  /// The step table, in applicable_actions' order: round-major, process
+  /// rules before coin rules, rules by id.
+  [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
 
   /// Guard truth in configuration c for round k (c, k |= φ).
   [[nodiscard]] bool unlocked(const Config& c, const Action& a) const;
@@ -121,9 +202,6 @@ class ExplicitSystem {
   [[nodiscard]] std::string describe(const Config& c) const;
   [[nodiscard]] std::string describe(const Action& a) const;
 
-  /// True iff this rule is a zero-update self-loop.
-  [[nodiscard]] bool is_self_loop(bool coin, ta::RuleId rule) const;
-
  private:
   [[nodiscard]] const ta::Automaton& automaton(bool coin) const {
     return coin ? sys_->coin : sys_->process;
@@ -134,14 +212,22 @@ class ExplicitSystem {
                                ta::LocId target) const;
   /// Shared implementation of initial_configs / border_start_configs.
   [[nodiscard]] std::vector<Config> start_configs_impl(ta::LocRole role) const;
+  /// The step of `a`, or null when `a` names no modeled round or rule.
+  [[nodiscard]] const Step* find_step(const Action& a) const;
+  /// The step `apply`/`apply_outcome` fire; throws std::invalid_argument
+  /// when `a` has none or is truncated.
+  [[nodiscard]] const Step& fired_step(const Action& a) const;
 
   const ta::System* sys_;
   std::vector<long long> params_;
   int rounds_;
   int n_proc_locs_;
   int n_coin_locs_;
+  std::size_t kappa_slots_ = 0;
+  std::size_t slots_ = 0;
   long long num_processes_;
   long long num_coins_;
+  std::vector<Step> steps_;
 };
 
 /// All ways to place `total` identical tokens into `bins` bins.

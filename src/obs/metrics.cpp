@@ -30,6 +30,10 @@ const char* counter_name(Counter c) {
     case Counter::kSchemaUnits: return "schema.units";
     case Counter::kSchemaUnitLevels: return "schema.unit_levels";
     case Counter::kSchemaClaimSkips: return "schema.claim_skips";
+    case Counter::kCsGraphs: return "cs.graphs";
+    case Counter::kCsStates: return "cs.states";
+    case Counter::kCsEdges: return "cs.edges";
+    case Counter::kCsMicros: return "cs.micros";
     case Counter::kPoolSubmits: return "pool.submits";
     case Counter::kPoolTasksRun: return "pool.tasks_run";
     case Counter::kPoolTasksSkipped: return "pool.tasks_skipped";
@@ -399,6 +403,17 @@ std::string Snapshot::to_table() const {
      << "\n";
   os << "  pivot imbalance       " << imbalance_line(*this, "solver.pivots")
      << "\n";
+  {
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "  sweep graphs          %llu built, %llu states, %llu "
+                  "edges, %.2f s\n",
+                  static_cast<unsigned long long>(counter("cs.graphs")),
+                  static_cast<unsigned long long>(counter("cs.states")),
+                  static_cast<unsigned long long>(counter("cs.edges")),
+                  static_cast<double>(counter("cs.micros")) / 1e6);
+    os << buf;
+  }
   {
     double solver_s = static_cast<double>(counter("solver.micros")) / 1e6;
     double task_s =

@@ -51,6 +51,10 @@ enum class Counter : int {
   kSchemaUnits,         // schema.units: subtree units adopted by a worker
   kSchemaUnitLevels,    // schema.unit_levels: per-unit level advances
   kSchemaClaimSkips,    // schema.claim_skips: units skipped at claim (CE)
+  kCsGraphs,            // cs.graphs: sweep state graphs built
+  kCsStates,            // cs.states: states of the graphs built
+  kCsEdges,             // cs.edges: edges (applicable actions) of them
+  kCsMicros,            // cs.micros: wall micros building them
   kPoolSubmits,         // pool.submits: tasks enqueued
   kPoolTasksRun,        // pool.tasks_run: tasks executed (workers + spills)
   kPoolTasksSkipped,    // pool.tasks_skipped: dequeued with tripped token

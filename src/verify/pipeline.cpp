@@ -8,6 +8,7 @@
 #include <map>
 #include <new>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -53,15 +54,26 @@ Obligation from_check(const std::string& name,
   return o;
 }
 
-/// Final locations of value v (E_v and D_v) in the single-round system.
-std::vector<ta::LocId> finals_of(const ta::System& rd, int v) {
-  std::vector<ta::LocId> out;
-  const ta::Automaton& a = rd.process;
+/// κ slots (round 0) of the final process locations that `keep` selects.
+template <class Keep>
+std::vector<std::uint32_t> final_slots(const cs::ExplicitSystem& es,
+                                       Keep keep) {
+  std::vector<std::uint32_t> out;
+  const ta::Automaton& a = es.system().process;
   for (ta::LocId l = 0; l < static_cast<ta::LocId>(a.locations.size()); ++l) {
     const ta::Location& loc = a.locations[static_cast<std::size_t>(l)];
-    if (loc.role == ta::LocRole::kFinal && loc.value == v) out.push_back(l);
+    if (loc.role == ta::LocRole::kFinal && keep(loc)) {
+      out.push_back(es.kappa_slot(false, l, 0));
+    }
   }
   return out;
+}
+
+/// Does the packed row hold a process in one of `slots`?
+bool occupied(std::span<const std::uint16_t> row,
+              const std::vector<std::uint32_t>& slots) {
+  return std::any_of(slots.begin(), slots.end(),
+                     [&](std::uint32_t k) { return row[k] > 0; });
 }
 
 /// (C1) on one instance: from every round-entry configuration, whatever the
@@ -75,38 +87,29 @@ bool check_c1_instance(const ta::System& rd,
                        const util::CancelSource* cancel) {
   cs::ExplicitSystem es(rd, params, 1);
   cs::StateGraph g(es, es.border_start_configs(), max_states, cancel);
-  std::vector<ta::LocId> f0 = finals_of(rd, 0);
-  std::vector<ta::LocId> f1 = finals_of(rd, 1);
-  auto touch = [&](const cs::Config& c) {
-    int flags = 0;
-    for (ta::LocId l : f0) {
-      if (es.kappa(c, false, l, 0) > 0) flags |= 1;
-    }
-    for (ta::LocId l : f1) {
-      if (es.kappa(c, false, l, 0) > 0) flags |= 2;
-    }
-    return flags;
+  // Final locations of each value (E_v and D_v).
+  const std::vector<std::uint32_t> f0 =
+      final_slots(es, [](const ta::Location& l) { return l.value == 0; });
+  const std::vector<std::uint32_t> f1 =
+      final_slots(es, [](const ta::Location& l) { return l.value == 1; });
+  auto touch = [&](std::size_t s) {
+    const std::span<const std::uint16_t> row = g.row(s);
+    return (occupied(row, f0) ? 1 : 0) | (occupied(row, f1) ? 2 : 0);
   };
   // win(s, flags): the outcome player keeps one side untouched forever.
   std::vector<signed char> memo(g.num_states() * 4, -1);
   std::function<bool(std::size_t, int)> win = [&](std::size_t s,
                                                   int flags) -> bool {
-    flags |= touch(g.config(s));
+    flags |= touch(s);
     if (flags == 3) return false;
     signed char& m = memo[s * 4 + static_cast<std::size_t>(flags)];
     if (m != -1) return m == 1;
     m = 1;  // DAG: no cycles, safe to pre-set (overwritten below)
     bool ok = true;
     for (const cs::StateGraph::Edge& e : g.edges(s)) {
-      bool some = false;
-      for (const auto& [succ, prob] : e.outcomes) {
-        (void)prob;
-        if (win(succ, flags)) {
-          some = true;
-          break;
-        }
-      }
-      if (!some) {
+      const std::span<const std::uint32_t> succ = g.successors(e);
+      if (std::none_of(succ.begin(), succ.end(),
+                       [&](std::uint32_t t) { return win(t, flags); })) {
         ok = false;
         break;
       }
@@ -140,21 +143,14 @@ bool check_c2prime_instance(const ta::System& rd,
     }
     cs::StateGraph g(es, starts, max_states, cancel);
     // bad: some process in a final location other than D_v.
-    std::vector<ta::LocId> bad_locs;
-    const ta::Automaton& a = rd.process;
-    for (ta::LocId l = 0; l < static_cast<ta::LocId>(a.locations.size());
-         ++l) {
-      const ta::Location& loc = a.locations[static_cast<std::size_t>(l)];
-      if (loc.role != ta::LocRole::kFinal) continue;
-      if (loc.decision && loc.value == v) continue;
-      bad_locs.push_back(l);
+    const std::vector<std::uint32_t> bad_slots =
+        final_slots(es, [v](const ta::Location& l) {
+          return !(l.decision && l.value == v);
+        });
+    std::vector<bool> bad(g.num_states());
+    for (std::size_t s = 0; s < g.num_states(); ++s) {
+      bad[s] = occupied(g.row(s), bad_slots);
     }
-    auto bad = g.mark([&](const cs::Config& c) {
-      for (ta::LocId l : bad_locs) {
-        if (es.kappa(c, false, l, 0) > 0) return true;
-      }
-      return false;
-    });
     std::vector<bool> win = g.forall_adversary_exists_safe(bad);
     for (std::size_t s : g.initial_states()) {
       if (!win[s]) return false;
@@ -368,6 +364,16 @@ double PropertyResult::seconds() const {
   double s = 0;
   for (const Obligation& o : obligations) s += o.seconds;
   return s;
+}
+
+bool ProtocolReport::planned_hold() const {
+  bool any = false;
+  for (const PropertyResult* p : {&agreement, &validity, &termination}) {
+    if (p->obligations.empty()) continue;
+    if (!p->holds()) return false;
+    any = true;
+  }
+  return any;
 }
 
 std::string PropertyResult::failure() const {
@@ -953,7 +959,8 @@ std::string report_text(const ProtocolReport& r) {
                     " |R|=" + std::to_string(r.n_rules) + "\n";
   auto property = [&out](const char* title, const PropertyResult& pr) {
     out += std::string("  ") + title + ": " +
-           (pr.holds()                ? "holds"
+           (pr.obligations.empty()    ? "not checked"
+            : pr.holds()              ? "holds"
             : pr.has_counterexample() ? "COUNTEREXAMPLE"
                                       : "inconclusive") +
            "\n";
@@ -1044,18 +1051,27 @@ std::string table2_row(const ProtocolReport& r, bool timed) {
     os << "CE";
   } else {
     // Attribute the shortfall: obligations cut down mid-run burned real
-    // time (see their time columns), skipped ones never got a slot.
-    int cancelled = 0, skipped = 0;
+    // time (see their time columns), skipped ones never got a slot. When
+    // nothing failed (a cut or skipped obligation never holds), the run is
+    // only partial: the plan (only_obligations, or no sweeps) left some
+    // properties without an obligation.
+    int cancelled = 0, skipped = 0, failed = 0, unchecked = 0;
     for (const PropertyResult* prop :
          {&r.agreement, &r.validity, &r.termination}) {
+      if (prop->obligations.empty()) ++unchecked;
       for (const Obligation& o : prop->obligations) {
         if (o.run_state == Obligation::RunState::kCancelled) ++cancelled;
         if (o.run_state == Obligation::RunState::kSkipped) ++skipped;
+        if (!o.holds) ++failed;
       }
     }
-    os << "budget-limited";
-    if (cancelled + skipped > 0) {
-      os << " (" << cancelled << " cut, " << skipped << " skipped)";
+    if (failed == 0) {
+      os << "partial (" << unchecked << " not checked)";
+    } else {
+      os << "budget-limited";
+      if (cancelled + skipped > 0) {
+        os << " (" << cancelled << " cut, " << skipped << " skipped)";
+      }
     }
   }
   return os.str();

@@ -221,6 +221,12 @@ struct ProtocolReport {
   PropertyResult agreement;
   PropertyResult validity;
   PropertyResult termination;
+
+  /// At least one obligation was planned and every planned one holds. A
+  /// property the plan left without an obligation (only_obligations, or
+  /// run_sweeps off) is "not checked", not a failure; `ctaver verify`
+  /// exits 0 on this.
+  [[nodiscard]] bool planned_hold() const;
 };
 
 /// One planned obligation's content address, as `ctaver hash` prints it and

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Exit-code taxonomy of the ctaver CLI: 0 when every verdict is obtained,
-# 1 on a verdict shortfall (here a genuine counterexample), 2 on a usage
-# or input error. A numeric flag must spell a whole non-negative number,
+# Exit-code taxonomy of the ctaver CLI: 0 when every planned verdict is
+# obtained, 1 on a verdict shortfall (here a genuine counterexample), 2 on
+# a usage or input error, 3 on a contained internal error such as the
+# sweep's state cap. A numeric flag must spell a whole non-negative number,
 # 0 keeps its per-flag meaning, and a huge time limit saturates instead of
 # expiring at once. A journal that cannot be opened stops a --resume run
 # and only warns on any other run, and stderr says which. check and hash
@@ -45,7 +46,32 @@ expect_stderr() {
   fi
 }
 
+# expect_stdout WANT PATTERN ARGS...: exit code WANT, and stdout matches
+# the grep pattern PATTERN.
+expect_stdout() {
+  want=$1
+  pattern=$2
+  shift 2
+  out=$("$ctaver" "$@" 2> /dev/null)
+  got=$?
+  if [ "$got" -eq "$want" ] && printf '%s\n' "$out" | grep -q "$pattern"; then
+    echo "ok: ctaver $* -> $got, stdout matches '$pattern'"
+  else
+    echo "FAIL: ctaver $* exited $got, want $want with stdout" \
+      "matching '$pattern'; stdout: $out"
+    failures=$((failures + 1))
+  fi
+}
+
 expect 0 verify CC85a --jobs 1 --workers 1
+# Properties --only-obligations leaves unplanned are not checked, not a
+# shortfall; an empty plan proves nothing.
+expect_stdout 0 "partial (2 not checked)" \
+  verify CC85a --only-obligations "C2'"
+expect 1 verify CC85a --no-sweeps --only-obligations C1
+# The sweep's state cap is a contained ERROR that names the cap.
+expect_stdout 3 "what=StateGraph: state budget exceeded" \
+  verify Rabin83 --only-obligations C1 --max-states 1000
 expect 0 verify CC85a --jobs 0 --workers 0 --max-schemas 0 \
   --time-budget 0 --max-states 0 --max-rss-mb 0
 expect 0 verify CC85a --time-budget 1e10 --obligation-timeout 1e10

@@ -1,15 +1,28 @@
 // Tests for the explicit counter-system semantics: action application,
-// initial configurations, state-graph analyses, and the Theorem-1
-// round-rigid reordering on randomized schedules.
+// initial configurations, state-graph analyses, the packed state graph
+// against the Config semantics (pinned sweep graph sizes, the 16-bit
+// range, the sweep counters), and the Theorem-1 round-rigid reordering on
+// randomized schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <map>
 #include <random>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "cs/explicit_system.h"
 #include "cs/schedule.h"
 #include "cs/state_graph.h"
+#include "frontend/lower.h"
+#include "frontend/registry.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "ta/builder.h"
 #include "ta/transforms.h"
+#include "verify/pipeline.h"
 
 namespace ctaver::cs {
 namespace {
@@ -19,8 +32,9 @@ using ta::ParamId;
 using ta::SystemBuilder;
 using ta::VarId;
 
-// Naive voting (Fig. 2/3): agreement breaks exactly when f >= 1.
-ta::System naive_voting() {
+// Naive voting (Fig. 2/3): agreement breaks exactly when f >= 1. Each
+// vote adds `vote` to its variable.
+ta::System naive_voting(long long vote = 1) {
   SystemBuilder b("NaiveVoting");
   ParamId n = b.param("n");
   ParamId f = b.param("f");
@@ -35,8 +49,8 @@ ta::System naive_voting() {
   LocId d0 = b.final_loc("D0", 0, true), d1 = b.final_loc("D1", 1, true);
   b.border_entry(j0, i0);
   b.border_entry(j1, i1);
-  b.rule("r1", i0, s, {}, {{v0, 1}});
-  b.rule("r2", i1, s, {}, {{v1, 1}});
+  b.rule("r1", i0, s, {}, {{v0, vote}});
+  b.rule("r2", i1, s, {}, {{v1, vote}});
   b.rule("r3", s, d0, {b.ge({{v0, 2}}, b.P("n") - b.P("f") * 2 + b.K(1))});
   b.rule("r4", s, d1, {b.ge({{v1, 2}}, b.P("n") - b.P("f") * 2 + b.K(1))});
   b.round_switch(d0, j0);
@@ -196,6 +210,40 @@ TEST(StateGraph, NaiveVotingAgreementCEWithByzantine) {
   EXPECT_TRUE(ce);
 }
 
+TEST(StateGraph, EventuallyThenWitnessIsAPath) {
+  // The witness runs from an initial state through a D0-state to a
+  // D1-state; every entry but the last names the action taken there, and
+  // one of that action's outcomes is the next entry's state.
+  ta::System rd = ta::single_round(naive_voting());
+  ExplicitSystem es(rd, {5, 2}, 1);
+  StateGraph g(es, es.border_start_configs());
+  const Reached at_d0{&es, rd.process.find_loc("D0")};
+  const Reached at_d1{&es, rd.process.find_loc("D1")};
+  StateGraph::Witness w;
+  ASSERT_TRUE(g.eventually_then(at_d0, at_d1, &w));
+  ASSERT_GE(w.size(), 2u);
+  const std::vector<std::size_t>& inits = g.initial_states();
+  EXPECT_NE(std::find(inits.begin(), inits.end(), w.front().first),
+            inits.end());
+  EXPECT_TRUE(at_d1(g.config(w.back().first)));
+  EXPECT_EQ(w.back().second.rule, -1);
+  bool passed_d0 = false;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const auto [s, a] = w[i];
+    passed_d0 = passed_d0 || at_d0(g.config(s));
+    if (i + 1 == w.size()) break;
+    bool steps_there = false;
+    for (const StateGraph::Edge& e : g.edges(s)) {
+      if (!(g.action(e) == a)) continue;
+      for (std::uint32_t t : g.successors(e)) {
+        steps_there = steps_there || t == w[i + 1].first;
+      }
+    }
+    EXPECT_TRUE(steps_there) << "entry " << i << ", rule " << a.rule;
+  }
+  EXPECT_TRUE(passed_d0);
+}
+
 TEST(StateGraph, NaiveVotingAgreementHoldsWithoutByzantine) {
   ta::System rd = ta::single_round(naive_voting());
   ExplicitSystem es(rd, {3, 0}, 1);  // 3 correct, no Byzantine
@@ -269,6 +317,210 @@ TEST(StateGraph, ForallAdversaryExistsSafeOnCoinAdoption) {
   });
   auto win = g.forall_adversary_exists_safe(bad);
   for (std::size_t s : g.initial_states()) EXPECT_TRUE(win[s]);
+}
+
+// ---------------------------------------------------------------------------
+// The packed engine: pinned sweep graph sizes, agreement with the Config
+// semantics, and the 16-bit range.
+// ---------------------------------------------------------------------------
+
+/// A sweep game's starting configurations, as the pipeline picks them:
+/// every border start for (C1) (`value` -1), or for (C2') the one with
+/// every process on `value`.
+std::vector<Config> sweep_starts(const ExplicitSystem& es, int value) {
+  std::vector<Config> all = es.border_start_configs();
+  if (value < 0) return all;
+  const std::vector<LocId> bv =
+      es.system().process.locs_with(ta::LocRole::kBorder, value);
+  std::vector<Config> out;
+  for (const Config& c : all) {
+    long long here = 0;
+    for (LocId l : bv) here += es.kappa(c, false, l, 0);
+    if (here == es.num_processes()) out.push_back(c);
+  }
+  return out;
+}
+
+TEST(StateGraph, SweepGraphSizesArePinned) {
+  // (states, edges) of every (C1) and (C2') graph of three builtins, and
+  // CC85b's largest (C1) graph: a change to the semantics or the engine
+  // that grows or shrinks a sweep game shows here first.
+  struct Pinned {
+    const char* protocol;
+    std::vector<long long> params;
+    int value;  // -1: (C1)
+    std::size_t states, edges;
+  };
+  const Pinned pinned[] = {
+      {"NaiveVoting", {3, 0}, -1, 132, 220},
+      {"NaiveVoting", {3, 0}, 0, 29, 46},
+      {"NaiveVoting", {3, 0}, 1, 29, 46},
+      {"NaiveVoting", {4, 1}, -1, 132, 220},
+      {"NaiveVoting", {4, 1}, 0, 29, 46},
+      {"NaiveVoting", {4, 1}, 1, 29, 46},
+      {"NaiveVoting", {5, 2}, -1, 278, 556},
+      {"NaiveVoting", {5, 2}, 0, 35, 60},
+      {"NaiveVoting", {5, 2}, 1, 35, 60},
+      {"CC85a", {4, 1, 0}, -1, 2472, 6408},
+      {"CC85a", {4, 1, 0}, 0, 448, 1130},
+      {"CC85a", {4, 1, 0}, 1, 448, 1130},
+      {"CC85a", {4, 1, 1}, -1, 1776, 4504},
+      {"CC85a", {4, 1, 1}, 0, 256, 590},
+      {"CC85a", {4, 1, 1}, 1, 256, 590},
+      {"CC85a", {5, 1, 1}, -1, 4760, 13712},
+      {"CC85a", {5, 1, 1}, 0, 448, 1130},
+      {"CC85a", {5, 1, 1}, 1, 448, 1130},
+      {"KS16", {4, 1, 0}, -1, 4664, 12474},
+      {"KS16", {4, 1, 0}, 0, 616, 1588},
+      {"KS16", {4, 1, 0}, 1, 616, 1588},
+      {"KS16", {4, 1, 1}, -1, 6920, 20320},
+      {"KS16", {4, 1, 1}, 0, 356, 846},
+      {"KS16", {4, 1, 1}, 1, 356, 846},
+      {"KS16", {5, 1, 1}, -1, 39372, 138284},
+      {"KS16", {5, 1, 1}, 0, 664, 1736},
+      {"KS16", {5, 1, 1}, 1, 664, 1736},
+      {"CC85b", {8, 1, 1}, -1, 63040, 235320},
+  };
+  const frontend::ProtocolRegistry registry =
+      frontend::ProtocolRegistry::with_builtins();
+  std::map<std::string, protocols::ProtocolModel> models;
+  std::map<std::string, ta::System> rds;
+  for (const Pinned& p : pinned) {
+    if (!rds.count(p.protocol)) {
+      models.emplace(p.protocol, registry.make(p.protocol));
+      rds.emplace(p.protocol, ta::single_round(models.at(p.protocol).system));
+    }
+    ExplicitSystem es(rds.at(p.protocol), p.params, 1);
+    StateGraph g(es, sweep_starts(es, p.value));
+    std::ostringstream tag;
+    tag << p.protocol;
+    for (long long v : p.params) tag << " " << v;
+    tag << " value " << p.value;
+    EXPECT_EQ(g.num_states(), p.states) << tag.str();
+    EXPECT_EQ(g.num_edges(), p.edges) << tag.str();
+    std::size_t edges = 0;
+    for (std::size_t s = 0; s < g.num_states(); ++s) {
+      edges += g.edges(s).size();
+    }
+    EXPECT_EQ(edges, g.num_edges()) << tag.str();
+  }
+  // Every sweep instance of the three fully pinned builtins is listed.
+  for (const char* name : {"NaiveVoting", "CC85a", "KS16"}) {
+    std::size_t listed = 0;
+    for (const Pinned& p : pinned) {
+      listed += std::string(p.protocol) == name ? 1 : 0;
+    }
+    EXPECT_EQ(listed, 3 * models.at(name).sweep_params.size()) << name;
+  }
+}
+
+/// The packed graph against the Config semantics, state by state: a
+/// state's edges are applicable_actions in order, and each successor is
+/// apply_outcome of its outcome.
+void expect_graph_matches_semantics(const ExplicitSystem& es) {
+  StateGraph g(es, es.border_start_configs());
+  ASSERT_GT(g.num_states(), 1u);
+  std::size_t outcomes = 0;
+  for (std::size_t s = 0; s < g.num_states(); ++s) {
+    const Config c = g.config(s);
+    const std::vector<Action> actions = es.applicable_actions(c);
+    const std::span<const StateGraph::Edge> edges = g.edges(s);
+    ASSERT_EQ(edges.size(), actions.size()) << es.describe(c);
+    EXPECT_EQ(g.terminal(s), actions.empty());
+    for (std::size_t i = 0; i < actions.size(); ++i) {
+      EXPECT_EQ(g.action(edges[i]), actions[i]) << es.describe(c);
+      const std::span<const std::uint32_t> succ = g.successors(edges[i]);
+      ASSERT_EQ(succ.size(), es.apply(c, actions[i]).size());
+      for (std::size_t k = 0; k < succ.size(); ++k, ++outcomes) {
+        EXPECT_EQ(g.config(succ[k]),
+                  es.apply_outcome(c, actions[i], static_cast<int>(k)))
+            << es.describe(c) << " --" << es.describe(actions[i]) << "-> #"
+            << k;
+      }
+    }
+  }
+  EXPECT_GE(outcomes, g.num_edges());
+}
+
+TEST(StateGraph, PackedGraphMatchesConfigSemantics) {
+  const ta::System nv = ta::single_round(naive_voting());
+  expect_graph_matches_semantics(ExplicitSystem(nv, {5, 2}, 1));
+  // The coin toss: one edge, two outcomes.
+  const ta::System coin = ta::single_round(mini_coin_system());
+  expect_graph_matches_semantics(ExplicitSystem(coin, {4, 1}, 1));
+}
+
+TEST(StateGraph, EachBuildBumpsTheSweepCountersOnce) {
+  // One build: cs.graphs 1, its states and edges, one state_graph span
+  // carrying both, and the --metrics - table's sweep line.
+  obs::Registry::global().set_enabled(true);
+  obs::Registry::global().reset();
+  obs::Tracer::global().reset();
+  obs::Tracer::global().enable();
+  const ta::System rd = ta::single_round(naive_voting());
+  ExplicitSystem es(rd, {5, 2}, 1);
+  const StateGraph g(es, es.border_start_configs());
+  obs::Tracer::global().disable();
+  obs::Registry::global().set_enabled(false);
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  EXPECT_EQ(snap.counter("cs.graphs"), 1u);
+  EXPECT_EQ(snap.counter("cs.states"), g.num_states());
+  EXPECT_EQ(snap.counter("cs.edges"), g.num_edges());
+  EXPECT_NE(snap.to_table().find("sweep graphs          1 built, 278 "
+                                 "states, 556 edges"),
+            std::string::npos)
+      << snap.to_table();
+  std::vector<std::string> spans;
+  for (const obs::Tracer::Event& e : obs::Tracer::global().events()) {
+    if (std::string(e.name) == "state_graph") spans.push_back(e.args);
+  }
+  EXPECT_EQ(spans, std::vector<std::string>{"\"states\":278,\"edges\":556"});
+  obs::Registry::global().reset();
+  obs::Tracer::global().reset();
+}
+
+TEST(StateGraph, ValueOutside16BitsIsAnOverflowError) {
+  // Each vote adds 70,000: the first one leaves a row word's range, and
+  // the error names the slot instead of wrapping the count.
+  const ta::System rd = ta::single_round(naive_voting(70'000));
+  ExplicitSystem es(rd, {4, 1}, 1);
+  try {
+    StateGraph g(es, es.border_start_configs());
+    FAIL() << "built " << g.num_states() << " states";
+  } catch (const std::overflow_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("@r0 = 70000 is outside"), std::string::npos) << what;
+  }
+}
+
+TEST(StateGraph, OverflowIsOneContainedSweepError) {
+  // The same spec through the pipeline: every (C1) instance overflows, and
+  // the sweep carries exactly one contained ERROR.
+  std::ifstream in(frontend::builtin_spec_dir() + "/naive_voting.cta");
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string spec = text.str();
+  for (const char* var : {"v0 += 1", "v1 += 1"}) {
+    const std::size_t at = spec.find(var);
+    ASSERT_NE(at, std::string::npos) << var;
+    spec.replace(at, std::string(var).size(),
+                 std::string(var, 6) + "70000");
+  }
+  verify::Options opts;
+  opts.jobs = 1;
+  opts.only_obligations = {"C1"};
+  const verify::ProtocolReport r = verify::verify_protocol(
+      frontend::load_spec_string(spec, "naive_voting_70000.cta"), opts);
+  ASSERT_EQ(r.termination.obligations.size(), 1u);
+  const verify::Obligation& o = r.termination.obligations[0];
+  ASSERT_TRUE(o.error.has_value());
+  EXPECT_EQ(o.error->kind, "exception");
+  EXPECT_NE(o.error->what.find("[0, 65535]"), std::string::npos)
+      << o.error->what;
+  EXPECT_EQ(o.detail, "instances (3,0)=ERROR (4,1)=ERROR (5,2)=ERROR");
+  EXPECT_NE(verify::table2_row(r).find("ERROR (1 contained)"),
+            std::string::npos)
+      << verify::table2_row(r);
 }
 
 // ---------------------------------------------------------------------------

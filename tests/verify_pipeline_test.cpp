@@ -95,6 +95,38 @@ TEST(Pipeline, BudgetLimitedVerdictIsNotCE) {
   EXPECT_NE(table2_row(r).find("budget-limited"), std::string::npos);
 }
 
+TEST(Pipeline, UnplannedPropertiesReadNotChecked) {
+  // only_obligations plans Validity's invariants alone. Agreement and
+  // termination then have no obligation: "not checked", not a budget cut,
+  // and the run still proves everything it planned.
+  Options opts;
+  opts.only_obligations = {"Inv2(v=0)", "Inv2(v=1)"};
+  const ProtocolReport r = verify_protocol(builtin("CC85a"), opts);
+  EXPECT_TRUE(r.planned_hold());
+  const std::string text = report_text(r);
+  EXPECT_NE(text.find("  Agreement: not checked\n"), std::string::npos);
+  EXPECT_NE(text.find("  Validity: holds\n"), std::string::npos);
+  EXPECT_NE(text.find("  Almost-sure termination: not checked\n"),
+            std::string::npos);
+  EXPECT_NE(table2_row(r).find("partial (2 not checked)"), std::string::npos);
+
+  // Category (B) without sweeps has no termination obligation.
+  Options no_sweeps;
+  no_sweeps.run_sweeps = false;
+  const ProtocolReport nb = verify_protocol(builtin("CC85a"), no_sweeps);
+  EXPECT_TRUE(nb.planned_hold());
+  EXPECT_NE(table2_row(nb).find("partial (1 not checked)"),
+            std::string::npos);
+
+  // An empty plan proves nothing.
+  Options none = no_sweeps;
+  none.only_obligations = {"C1"};
+  const ProtocolReport empty = verify_protocol(builtin("CC85a"), none);
+  EXPECT_FALSE(empty.planned_hold());
+  EXPECT_NE(table2_row(empty).find("partial (3 not checked)"),
+            std::string::npos);
+}
+
 TEST(Pipeline, PropertyResultAggregation) {
   PropertyResult pr;
   EXPECT_FALSE(pr.holds());  // no obligations -> nothing proved
