@@ -8,7 +8,8 @@
 //   ctaver check                      # regression-check declared verdicts
 //
 // Protocol arguments are resolved through frontend::ProtocolRegistry, so
-// built-ins and spec files are interchangeable everywhere.
+// built-ins and spec files are interchangeable everywhere. Each flag is one
+// kFlags entry: its parser, the commands that take it, and its help.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -17,12 +18,10 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
-#include <variant>
 #include <vector>
 
 #include "frontend/diag.h"
@@ -37,6 +36,7 @@
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/stderr_gate.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 #include "verify/pipeline.h"
 
@@ -46,6 +46,202 @@ using ctaver::frontend::ParseError;
 using ctaver::frontend::ProtocolRegistry;
 using ctaver::protocols::category_str;
 using ctaver::protocols::ProtocolModel;
+
+struct Args {
+  std::string command;
+  std::vector<std::string> protocols;
+  ctaver::verify::Options opts;  // set by the flags that shape a run
+  // Flags the CLI reads itself.
+  std::string specs_dir;
+  std::vector<std::vector<long long>> sweep_override;
+  std::vector<std::string> fault_inject;  // armed once parsing succeeded
+  std::string cache_dir;
+  bool resume = false;
+  std::string trace_path;
+  std::string metrics_path;       // '-': the summary table on stdout
+  std::string metrics_json_path;  // '-': JSON on stdout
+  std::optional<ctaver::util::LogLevel> log_level;
+  bool progress = false;
+};
+
+/// Reads a non-negative number spelled by the whole token into `out`, where
+/// 0 stands for `zero` (what 0 means is per flag). "2x", "-5", "", "inf"
+/// and values outside T's range are rejected.
+template <typename T>
+bool number(const std::string& s, T& out, T zero = T{}) {
+  T v{};
+  const char* end = s.data() + s.size();
+  auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || p != end) return false;
+  if constexpr (std::is_signed_v<T>) {
+    if (v < 0 || !std::isfinite(v)) return false;
+  }
+  out = v == 0 ? zero : v;
+  return true;
+}
+
+/// The setters of a flag that stores its value, and of a switch.
+template <std::string Args::*field>
+bool store(Args& a, const std::string& v) {
+  a.*field = v;
+  return true;
+}
+template <bool Args::*field>
+bool turn_on(Args& a, const std::string&) {
+  a.*field = true;
+  return true;
+}
+
+// The commands, in usage order, then the sets of them that flags share:
+// the commands that plan obligations or derive their keys, those that run
+// them, and those that prove through the cache. `help` (also `--help`,
+// `-h`) takes no flag.
+using Commands = std::vector<std::string>;
+const Commands kAll = {"list", "parse", "verify", "table2", "check", "hash"};
+const Commands kPlanning = {"verify", "table2", "check", "hash"};
+const Commands kRunning = {"verify", "table2", "check"};
+const Commands kProving = {"verify", "table2"};
+
+/// One command-line flag. A command outside `commands` rejects it.
+struct Flag {
+  const char* name;
+  const char* value;  // the value's name; nullptr for a switch
+  Commands commands;
+  const char* help;  // '\n' continues it on the next line
+  bool (*set)(Args&, const std::string& value);  // false: a bad value
+};
+
+// Grouped by `commands`: usage() prints a heading where the group changes.
+const Flag kFlags[] = {
+    {"--specs", "DIR", kAll, "register every .cta file in DIR",
+     store<&Args::specs_dir>},
+    {"--trace", "FILE", kAll,
+     "write a Chrome trace-event JSON (Perfetto /\n"
+     "chrome://tracing) with protocol > obligation >\n"
+     "unit > query spans",
+     store<&Args::trace_path>},
+    {"--metrics", "FILE", kAll,
+     "write the merged metrics registry as JSON\n"
+     "('-': a human-readable table on stdout)",
+     store<&Args::metrics_path>},
+    {"--metrics-json", "FILE", kAll,
+     "the metrics registry as JSON ('-': on stdout)",
+     store<&Args::metrics_json_path>},
+    {"--progress", nullptr, kAll, "live progress line on stderr",
+     turn_on<&Args::progress>},
+    {"--log-level", "debug|info|warn|error", kAll,
+     "the stderr log threshold (default warn)",
+     [](Args& a, const std::string& v) {
+       a.log_level = ctaver::util::parse_log_level(v);
+       return a.log_level.has_value();
+     }},
+    {"--no-sweeps", nullptr, kPlanning,
+     "skip the explicit-instance (C1)/(C2') sweeps",
+     [](Args& a, const std::string&) {
+       a.opts.run_sweeps = false;
+       return true;
+     }},
+    {"--max-states", "N", kPlanning,
+     "state cap per swept instance (0: the default)",
+     [](Args& a, const std::string& v) {
+       return number(v, a.opts.max_states,
+                     ctaver::verify::Options{}.max_states);
+     }},
+    {"--max-schemas", "N", kPlanning,
+     "schema cap shared by a protocol's obligations\n(0: the default)",
+     [](Args& a, const std::string& v) {
+       return number(v, a.opts.schema.max_schemas,
+                     ctaver::schema::CheckOptions{}.max_schemas);
+     }},
+    {"--sweep", "a,b,...", kPlanning,
+     "override the spec's sweep instances (repeatable)",
+     [](Args& a, const std::string& v) {
+       std::vector<long long> vals;
+       std::istringstream is(v);
+       for (std::string item; std::getline(is, item, ',');) {
+         if (!number(item, vals.emplace_back())) return false;
+       }
+       if (vals.empty()) return false;
+       a.sweep_override.push_back(std::move(vals));
+       return true;
+     }},
+    {"--only-obligations", "a,b,...", {"verify", "table2", "hash"},
+     "discharge only the named obligations\n"
+     "(unknown names are a positioned error, exit 2)",
+     [](Args& a, const std::string& v) {
+       std::istringstream is(v);
+       for (std::string name; std::getline(is, name, ',');) {
+         if (!name.empty()) a.opts.only_obligations.push_back(name);
+       }
+       return !a.opts.only_obligations.empty();
+     }},
+    {"--jobs", "N", kRunning,
+     "obligation-scheduler workers (0 = all cores,\n"
+     "1 = serial; reports are identical either way)",
+     [](Args& a, const std::string& v) { return number(v, a.opts.jobs); }},
+    {"--workers", "N", kRunning,
+     "enumeration workers inside each obligation\n"
+     "(default 1, 0 = all cores; reports are byte-\n"
+     "identical for every jobs x workers combination)",
+     [](Args& a, const std::string& v) {
+       return number(v, a.opts.schema.workers,
+                     ctaver::util::ThreadPool::hardware_workers());
+     }},
+    {"--time-budget", "S", kRunning,
+     "wall-clock budget per protocol (seconds;\n0: the default)",
+     [](Args& a, const std::string& v) {
+       return number(v, a.opts.schema.time_budget_s,
+                     ctaver::schema::CheckOptions{}.time_budget_s);
+     }},
+    {"--max-rss-mb", "N", kRunning,
+     "RSS watchdog (0: off): past N MiB resident,\n"
+     "cut the run to inconclusive (reason 'memory')\n"
+     "instead of an OOM abort",
+     [](Args& a, const std::string& v) {
+       return number(v, a.opts.schema.max_rss_mb);
+     }},
+    {"--obligation-timeout", "S", kRunning,
+     "per-obligation hard deadline (seconds; 0: off):\n"
+     "a tripped obligation goes inconclusive (reason\n"
+     "'obligation-timeout') without touching its\n"
+     "siblings or the shared budget",
+     [](Args& a, const std::string& v) {
+       return number(v, a.opts.obligation_timeout_s);
+     }},
+    {"--fault-inject", "SITE:N:ACTION", kRunning,
+     "on the N-th hit of fault point SITE run ACTION\n"
+     "(throw | cancel | delay | abort; abort SIGKILLs\n"
+     "the process on the spot, exit 137); repeatable.\n"
+     "Sites: lia.pivot, schema.encode,\n"
+     "schema.unit_adopt, cs.expand, replay.step",
+     [](Args& a, const std::string& v) {
+       a.fault_inject.push_back(v);
+       return true;
+     }},
+    {"--replay-ce", nullptr, kProving,
+     "replay every schema counterexample through\n"
+     "the concretization engine (src/replay)",
+     [](Args& a, const std::string&) {
+       a.opts.replay_ce = true;
+       return true;
+     }},
+    {"--cache-dir", "DIR", kProving,
+     "content-addressed proof cache: complete\n"
+     "verdicts replay byte-identically on later runs;\n"
+     "also home of the crash-safety journal",
+     store<&Args::cache_dir>},
+    {"--resume", nullptr, kProving,
+     "finish a killed run from the cache directory's\n"
+     "journal, re-proving only what it left without\n"
+     "a durable proof (exit 2 without a cache\n"
+     "directory, or for other specs/options)",
+     turn_on<&Args::resume>},
+};
+
+/// "--jobs N", or "--progress" for a switch.
+std::string spelled(const Flag& f) {
+  return f.value == nullptr ? f.name : std::string(f.name) + " " + f.value;
+}
 
 int usage(std::ostream& os, int code) {
   os << "usage: ctaver <command> [options] [protocol...]\n"
@@ -67,55 +263,25 @@ int usage(std::ostream& os, int code) {
         "\n"
         "SPEC is a registered protocol name or a path to a .cta file.\n"
         "\n"
-        "options:\n"
-        "  --specs DIR        register every .cta file in DIR\n"
-        "  --no-sweeps        skip the explicit-instance (C1)/(C2') sweeps\n"
-        "  --max-states N     state cap per swept instance\n"
-        "  --max-schemas N    schema cap shared by a protocol's obligations\n"
-        "  --time-budget S    wall-clock budget per protocol (seconds)\n"
-        "  --jobs N           obligation-scheduler workers (0 = all cores,\n"
-        "                     1 = serial; reports are identical either way)\n"
-        "  --workers N        enumeration workers inside each obligation\n"
-        "                     (partitioned schema enumeration; default 1,\n"
-        "                     0 = all cores; reports are byte-identical for\n"
-        "                     every jobs x workers combination)\n"
-        "  --sweep a,b,...    override sweep instances (repeatable)\n"
-        "  --replay-ce        verify: replay every schema counterexample\n"
-        "                     through the concretization engine (src/replay)\n"
-        "  --only-obligations a,b,...\n"
-        "                     verify: discharge only the named obligations\n"
-        "                     (unknown names are a positioned error, exit 2)\n"
-        "  --cache-dir DIR    content-addressed proof cache (verify, table2):\n"
-        "                     complete verdicts are stored under their\n"
-        "                     obligation keys and replayed byte-identically\n"
-        "                     on later runs; corrupt entries degrade to\n"
-        "                     misses. Also home of the crash-safety journal\n"
-        "                     (journal.log; see README 'Crash safety')\n"
-        "  --resume           verify: replay the journal in --cache-dir and\n"
-        "                     re-prove only the obligations a killed run\n"
-        "                     left without a durable proof; the report is\n"
-        "                     byte-identical to an uninterrupted run. Exits\n"
-        "                     2 if the journal's unfinished run was started\n"
-        "                     with different specs/options\n"
-        "\n"
-        "fault containment (see the README's Failure containment section):\n"
-        "  --max-rss-mb N     RSS watchdog: once resident memory exceeds N\n"
-        "                     MiB, cut the run to inconclusive with\n"
-        "                     cut reason 'memory' instead of an OOM abort\n"
-        "  --obligation-timeout S\n"
-        "                     per-obligation hard deadline (seconds): a\n"
-        "                     tripped obligation goes inconclusive (reason\n"
-        "                     'obligation-timeout') without touching its\n"
-        "                     siblings or the shared budget\n"
-        "  --fault-inject SITE:N:ACTION\n"
-        "                     deterministic fault injection (repeatable,\n"
-        "                     tests/CI): on the N-th hit of the named fault\n"
-        "                     point run ACTION = throw | cancel | delay |\n"
-        "                     abort (abort SIGKILLs the process on the spot\n"
-        "                     — the crash-resume harness; exit status 137).\n"
-        "                     Sites: lia.pivot, schema.encode,\n"
-        "                     schema.unit_adopt, cs.expand, replay.step\n"
-        "\n"
+        "options, under the commands that take them (any other command\n"
+        "rejects the option, exit 2):\n";
+  const std::string indent(21, ' ');
+  Commands group;
+  for (const Flag& f : kFlags) {
+    if (f.commands != group) {
+      group = f.commands;
+      os << "\n" << ctaver::util::join(group, ", ") << ":\n";
+    }
+    const std::string head = "  " + spelled(f);
+    os << (head.size() < indent.size()
+               ? ctaver::util::pad_right(head, indent.size())
+               : head + "\n" + indent);
+    for (const char* p = f.help; *p != '\0'; ++p) {
+      os << *p << (*p == '\n' ? indent : "");
+    }
+    os << "\n";
+  }
+  os << "\n"
         "exit codes:\n"
         "  0    all requested verdicts obtained (and as expected)\n"
         "  1    verdict shortfall: counterexample, failed check, or\n"
@@ -124,160 +290,59 @@ int usage(std::ostream& os, int code) {
         "  3    contained internal error: some obligation carries a\n"
         "       structured ERROR; takes precedence over 1 because the run\n"
         "       is incomplete-by-failure, not refuted\n"
-        "  130  interrupted (SIGINT); the partial report still flushes\n"
-        "\n"
-        "observability (out-of-band: reports are byte-identical with these\n"
-        "on or off; see the README's Observability section):\n"
-        "  --trace FILE       write a Chrome trace-event JSON (Perfetto /\n"
-        "                     chrome://tracing) with protocol > obligation >\n"
-        "                     unit > query spans\n"
-        "  --metrics FILE     write the merged metrics registry as JSON\n"
-        "                     ('-': print a human-readable summary table to\n"
-        "                     stdout instead)\n"
-        "  --metrics-json FILE\n"
-        "                     like --metrics but always JSON, '-' included\n"
-        "                     (the machine-readable face)\n"
-        "  --progress         live progress line on stderr\n"
-        "  --log-level L      debug|info|warn|error (default warn)\n";
+        "  130  interrupted (SIGINT); the partial report still flushes\n";
   return code;
 }
 
-struct Args {
-  std::string command;
-  std::vector<std::string> protocols;
-  std::string specs_dir;
-  bool no_sweeps = false;
-  bool replay_ce = false;
-  std::size_t max_states = 0;  // 0: keep the pipeline default
-  long long max_schemas = 0;   // 0: keep the pipeline default
-  double time_budget = 0;      // 0: keep the pipeline default
-  int jobs = 0;                // 0: one worker per hardware thread
-  int workers = -1;            // -1: keep the pipeline default (1)
-  long long max_rss_mb = 0;       // --max-rss-mb: RSS watchdog (0 = off)
-  double obligation_timeout = 0;  // --obligation-timeout (0 = off)
-  std::vector<std::string> fault_inject;  // --fault-inject plans (repeatable)
-  std::vector<std::vector<long long>> sweep_override;
-  std::vector<std::string> only_obligations;  // --only-obligations (comma'd)
-  std::string cache_dir;     // --cache-dir: on-disk proof cache (verify/table2)
-  bool resume = false;       // --resume: journal-driven crash recovery
-  std::string trace_path;    // --trace: Chrome trace-event JSON output
-  std::string metrics_path;  // --metrics: registry JSON ('-': table, stdout)
-  std::string metrics_json_path;  // --metrics-json: always JSON, '-' = stdout
-  std::string log_level;     // --log-level
-  bool progress = false;
-};
-
-/// Parses a non-negative number spelled by the whole token: "2x", "-5",
-/// "", "inf" and values outside T's range are rejected.
-template <typename T>
-bool parse_number(const std::string& s, T& out) {
-  T v{};
-  const char* end = s.data() + s.size();
-  auto [p, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc() || p != end) return false;
-  if constexpr (std::is_signed_v<T>) {
-    if (v < 0 || !std::isfinite(v)) return false;
-  }
-  out = v;
-  return true;
+bool is_help(const std::string& command) {
+  return command == "help" || command == "--help" || command == "-h";
 }
 
-/// The numeric flags and the Args field each one sets. What 0 means is per
-/// flag; see the usage text.
-using NumberField = std::variant<std::size_t Args::*, long long Args::*,
-                                 int Args::*, double Args::*>;
-const std::map<std::string, NumberField> kNumberFlags = {
-    {"--max-states", &Args::max_states},
-    {"--max-schemas", &Args::max_schemas},
-    {"--time-budget", &Args::time_budget},
-    {"--jobs", &Args::jobs},
-    {"--workers", &Args::workers},
-    {"--max-rss-mb", &Args::max_rss_mb},
-    {"--obligation-timeout", &Args::obligation_timeout},
-};
-
-bool parse_sweep(const std::string& s, std::vector<long long>& out) {
-  std::istringstream is(s);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    long long v = 0;
-    if (!parse_number(item, v)) return false;
-    out.push_back(v);
-  }
-  return !out.empty();
+bool takes(const Commands& commands, const std::string& command) {
+  return std::ranges::find(commands, command) != commands.end();
 }
 
+/// Reads the command, then each flag through its kFlags entry. A usage
+/// error says why on stderr and returns false (exit 2) before anything
+/// runs or is created.
 bool parse_args(int argc, char** argv, Args& args) {
-  if (argc < 2) return false;
+  if (argc < 2) {
+    usage(std::cerr, 2);
+    return false;
+  }
   args.command = argv[1];
+  if (!takes(kAll, args.command) && !is_help(args.command)) {
+    std::cerr << "ctaver: unknown command '" << args.command << "'\n";
+    usage(std::cerr, 2);
+    return false;
+  }
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--no-sweeps") {
-      args.no_sweeps = true;
-    } else if (a == "--replay-ce") {
-      args.replay_ce = true;
-    } else if (a == "--progress") {
-      args.progress = true;
-    } else if (a == "--resume") {
-      args.resume = true;
-    } else if (a == "--specs") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      args.specs_dir = v;
-    } else if (a == "--trace") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      args.trace_path = v;
-    } else if (a == "--metrics") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      args.metrics_path = v;
-    } else if (a == "--metrics-json") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      args.metrics_json_path = v;
-    } else if (a == "--cache-dir") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      args.cache_dir = v;
-    } else if (a == "--only-obligations") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      std::istringstream is(v);
-      std::string name;
-      while (std::getline(is, name, ',')) {
-        if (!name.empty()) args.only_obligations.push_back(name);
-      }
-      if (args.only_obligations.empty()) return false;
-    } else if (a == "--log-level") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      args.log_level = v;
-    } else if (a == "--fault-inject") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      args.fault_inject.emplace_back(v);
-    } else if (auto f = kNumberFlags.find(a); f != kNumberFlags.end()) {
-      const char* v = value();
-      if (v == nullptr) return false;
-      if (!std::visit([&](auto field) { return parse_number(v, args.*field); },
-                      f->second)) {
-        std::cerr << "ctaver: " << a << " needs a number, got '" << v << "'\n";
-        return false;
-      }
-    } else if (a == "--sweep") {
-      const char* v = value();
-      std::vector<long long> vals;
-      if (v == nullptr || !parse_sweep(v, vals)) return false;
-      args.sweep_override.push_back(std::move(vals));
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "ctaver: unknown option '" << a << "'\n";
-      return false;
-    } else {
+    if (a.empty() || a[0] != '-') {
       args.protocols.push_back(std::move(a));
+      continue;
+    }
+    const Flag* f = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                 [&](const Flag& g) { return a == g.name; });
+    if (f == std::end(kFlags)) {
+      std::cerr << "ctaver: unknown option '" << a << "'\n";
+      usage(std::cerr, 2);
+      return false;
+    }
+    if (!takes(f->commands, args.command)) {
+      std::cerr << "ctaver: " << args.command << " does not take " << a
+                << "\n";
+      return false;
+    }
+    if (f->value != nullptr && i + 1 == argc) {
+      std::cerr << "ctaver: " << spelled(*f) << ": missing value\n";
+      return false;
+    }
+    const std::string value = f->value != nullptr ? argv[++i] : "";
+    if (!f->set(args, value)) {
+      std::cerr << "ctaver: " << spelled(*f) << ": bad value '" << value
+                << "'\n";
+      return false;
     }
   }
   return true;
@@ -390,28 +455,6 @@ std::vector<std::optional<ctaver::verify::ProtocolReport>> run_protocols(
   return reports;
 }
 
-/// Budget/scheduler flags shared by verify and check, so the same CLI flag
-/// always means the same thing (replay_ce / only_obligations are layered on
-/// top by each command).
-ctaver::verify::Options base_options(const Args& args) {
-  ctaver::verify::Options opts;
-  opts.run_sweeps = !args.no_sweeps;
-  opts.jobs = args.jobs;
-  if (args.workers >= 0) {
-    // --workers 0 = all cores. Resolved here because the pipeline treats 0
-    // as "keep the deterministic-by-default width of 1".
-    opts.schema.workers =
-        args.workers == 0 ? ctaver::util::ThreadPool::hardware_workers()
-                          : args.workers;
-  }
-  opts.schema.max_rss_mb = args.max_rss_mb;
-  opts.obligation_timeout_s = args.obligation_timeout;
-  if (args.max_states > 0) opts.max_states = args.max_states;
-  if (args.max_schemas > 0) opts.schema.max_schemas = args.max_schemas;
-  if (args.time_budget > 0) opts.schema.time_budget_s = args.time_budget;
-  return opts;
-}
-
 /// Resolves a protocol argument and applies any --sweep overrides (used by
 /// verify and check alike, so the flag means the same thing everywhere).
 ProtocolModel resolve_with_sweeps(const ProtocolRegistry& registry,
@@ -443,9 +486,7 @@ ProtocolModel resolve_with_sweeps(const ProtocolRegistry& registry,
 int cmd_verify(const ProtocolRegistry& registry, const Args& args,
                bool timed_rows, const std::vector<std::string>& protocols) {
   if (protocols.empty()) return usage(std::cerr, 2);
-  ctaver::verify::Options opts = base_options(args);
-  opts.replay_ce = args.replay_ce;
-  opts.only_obligations = args.only_obligations;
+  ctaver::verify::Options opts = args.opts;
   // --cache-dir: verdicts proved in this run land in the on-disk proof
   // cache; obligations whose keys are already present replay byte-
   // identically without proving anything.
@@ -517,7 +558,7 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
   }
 
   auto maybe_reports = run_protocols(
-      models, args.jobs,
+      models, args.opts.jobs,
       [&](const ProtocolModel&) { return std::optional(opts); });
 
   bool all_hold = true;
@@ -540,14 +581,6 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
   return code;
 }
 
-/// A flag `command` would otherwise drop silently: a usage error (exit 2)
-/// with a one-line reason.
-int unsupported(const char* command, const char* flag, const char* why) {
-  std::cerr << "ctaver: " << command << " does not take " << flag << " ("
-            << why << ")\n";
-  return 2;
-}
-
 const ctaver::verify::Obligation* find_obligation(
     const ctaver::verify::ProtocolReport& r, const std::string& name) {
   for (const ctaver::verify::PropertyResult* prop :
@@ -565,16 +598,6 @@ const ctaver::verify::Obligation* find_obligation(
 /// exhaustion on an expected-holds obligation is a skip (the verdict did
 /// not flip); everything else that disagrees is a failure.
 int cmd_check(const ProtocolRegistry& registry, const Args& args) {
-  if (!args.cache_dir.empty()) {
-    return unsupported("check", "--cache-dir", "it proves every verdict");
-  }
-  if (args.resume) {
-    return unsupported("check", "--resume", "it keeps no journal");
-  }
-  if (!args.only_obligations.empty()) {
-    return unsupported("check", "--only-obligations",
-                       "it discharges each spec's expect block");
-  }
   std::vector<std::string> protocols = args.protocols;
   if (protocols.empty()) protocols = registry.names();
   if (protocols.empty()) return usage(std::cerr, 2);
@@ -585,21 +608,17 @@ int cmd_check(const ProtocolRegistry& registry, const Args& args) {
     models.push_back(resolve_with_sweeps(registry, args, spec));
   }
 
-  auto opts_for = [&](const ProtocolModel& pm) {
-    ctaver::verify::Options opts = base_options(args);
-    opts.replay_ce = true;
-    for (const auto& e : pm.expects) {
-      opts.only_obligations.push_back(e.obligation);
-    }
-    return opts;
-  };
-
   auto reports = run_protocols(
-      models, args.jobs,
+      models, args.opts.jobs,
       [&](const ProtocolModel& pm)
           -> std::optional<ctaver::verify::Options> {
         if (pm.expects.empty()) return std::nullopt;  // attack sketch only
-        return opts_for(pm);
+        ctaver::verify::Options opts = args.opts;
+        opts.replay_ce = true;
+        for (const auto& e : pm.expects) {
+          opts.only_obligations.push_back(e.obligation);
+        }
+        return opts;
       });
 
   int confirmed = 0, skipped = 0, failed = 0, errored = 0;
@@ -745,10 +764,6 @@ int cmd_check(const ProtocolRegistry& registry, const Args& args) {
 /// is the cache's own derivation path), so the output answers "would this
 /// edit invalidate that obligation?" by diffing two hash runs.
 int cmd_hash(const ProtocolRegistry& registry, const Args& args) {
-  if (!args.cache_dir.empty()) {
-    return unsupported("hash", "--cache-dir", "it reads no cache");
-  }
-  if (args.resume) return unsupported("hash", "--resume", "it proves nothing");
   std::vector<std::string> protocols = args.protocols;
   if (protocols.empty()) {
     if (args.specs_dir.empty()) return usage(std::cerr, 2);
@@ -756,13 +771,11 @@ int cmd_hash(const ProtocolRegistry& registry, const Args& args) {
       if (registry.origin(name) != "builtin") protocols.push_back(name);
     }
   }
-  ctaver::verify::Options opts = base_options(args);
-  opts.only_obligations = args.only_obligations;
   for (const std::string& spec : protocols) {
     ProtocolModel pm = resolve_with_sweeps(registry, args, spec);
     std::cout << "== " << pm.name << "\n";
     for (const ctaver::verify::ObligationKey& k :
-         ctaver::verify::obligation_cache_keys(pm, opts)) {
+         ctaver::verify::obligation_cache_keys(pm, args.opts)) {
       std::cout << k.key << "  " << (k.parametric ? "parametric" : "sweep")
                 << "  " << k.name << "\n";
     }
@@ -781,17 +794,14 @@ int dispatch(const Args& args) {
     }
     if (args.command == "check") return cmd_check(registry, args);
     if (args.command == "hash") return cmd_hash(registry, args);
-    if (args.command == "table2") {
-      std::vector<std::string> protocols = args.protocols;
-      if (protocols.empty()) {
-        // The paper's Table-II order (NaiveVoting is the warm-up, not a row).
-        protocols = {"Rabin83", "CC85a", "CC85b",    "FMR05",
-                     "KS16",    "MMR14", "Miller18", "ABY22"};
-      }
-      return cmd_verify(registry, args, /*timed_rows=*/true, protocols);
+    // table2, the one command left: parse_args rejects any other.
+    std::vector<std::string> protocols = args.protocols;
+    if (protocols.empty()) {
+      // The paper's Table-II order (NaiveVoting is the warm-up, not a row).
+      protocols = {"Rabin83", "CC85a", "CC85b",    "FMR05",
+                   "KS16",    "MMR14", "Miller18", "ABY22"};
     }
-    std::cerr << "ctaver: unknown command '" << args.command << "'\n";
-    return usage(std::cerr, 2);
+    return cmd_verify(registry, args, /*timed_rows=*/true, protocols);
   } catch (const ParseError& e) {
     std::cerr << e.what() << "\n";
     return 2;
@@ -858,21 +868,9 @@ void handle_sigint(int) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) return usage(std::cerr, 2);
-  if (args.command == "help" || args.command == "--help" ||
-      args.command == "-h") {
-    return usage(std::cout, 0);
-  }
-  if (!args.log_level.empty()) {
-    std::optional<ctaver::util::LogLevel> level =
-        ctaver::util::parse_log_level(args.log_level);
-    if (!level) {
-      std::cerr << "ctaver: --log-level wants debug|info|warn|error, got '"
-                << args.log_level << "'\n";
-      return 2;
-    }
-    ctaver::util::set_log_level(*level);
-  }
+  if (!parse_args(argc, argv, args)) return 2;
+  if (is_help(args.command)) return usage(std::cout, 0);
+  if (args.log_level) ctaver::util::set_log_level(*args.log_level);
   for (const std::string& plan : args.fault_inject) {
     std::string err;
     if (!ctaver::util::FaultInjector::instance().arm(plan, &err)) {

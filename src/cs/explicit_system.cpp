@@ -7,6 +7,9 @@ namespace ctaver::cs {
 
 namespace {
 
+constexpr const char* kUnmodeled =
+    "ExplicitSystem: action outside the modeled rules and rounds";
+
 /// A Config read through the flat slot layout: κ slots, then g slots.
 struct ConfigRow {
   const Config& c;
@@ -121,8 +124,7 @@ std::vector<Action> ExplicitSystem::applicable_actions(
 const ExplicitSystem::Step& ExplicitSystem::fired_step(const Action& a) const {
   const Step* st = find_step(a);
   if (st == nullptr || st->truncated) {
-    throw std::invalid_argument(
-        "ExplicitSystem: action outside the modeled rules and rounds");
+    throw std::invalid_argument(kUnmodeled);
   }
   return *st;
 }
@@ -270,6 +272,7 @@ std::string ExplicitSystem::slot_name(std::uint32_t slot) const {
 }
 
 std::string ExplicitSystem::describe(const Action& a) const {
+  if (find_step(a) == nullptr) throw std::invalid_argument(kUnmodeled);
   const ta::Rule& r =
       automaton(a.coin).rules[static_cast<std::size_t>(a.rule)];
   return (a.coin ? std::string("coin:") : std::string("")) + r.name + "@r" +

@@ -198,7 +198,9 @@ class ExplicitSystem {
     return applicable_actions(c).empty();
   }
 
-  /// Pretty-printer for debugging and counterexample reports.
+  /// Pretty-printer for debugging and counterexample reports. An action
+  /// outside the modeled rules and rounds, such as the rule -1 that ends
+  /// every StateGraph::Witness, throws std::invalid_argument.
   [[nodiscard]] std::string describe(const Config& c) const;
   [[nodiscard]] std::string describe(const Action& a) const;
 

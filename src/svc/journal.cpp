@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "util/hash.h"
@@ -146,10 +147,20 @@ void Journal::recover() {
     good_end = pos;
   }
   obs::add(obs::Counter::kJournalReplayed, stats_.replayed);
-  if (good_end < all.size()) {
-    stats_.truncated_bytes += all.size() - good_end;
-    obs::add(obs::Counter::kJournalTruncatedBytes, all.size() - good_end);
-    if (::ftruncate(fd_, static_cast<off_t>(good_end)) == 0) ::fsync(fd_);
+  const std::size_t torn = all.size() - good_end;
+  if (torn > 0) {
+    stats_.truncated_bytes += torn;
+    obs::add(obs::Counter::kJournalTruncatedBytes, torn);
+  }
+  // When every run on file has ended, none is left to resume: the file is
+  // cut back to its header, so the next open replays nothing (this handle
+  // keeps what it read). That cut needs no fsync: lost, it only leaves
+  // finished records, and the next append's fsync makes it durable.
+  // Dropping a torn tail does need one.
+  const std::size_t keep = unfinished_runs() == 0 ? want.size() : good_end;
+  if (keep < all.size() && ::ftruncate(fd_, static_cast<off_t>(keep)) == 0 &&
+      torn > 0) {
+    ::fsync(fd_);
   }
 }
 
@@ -223,16 +234,17 @@ bool Journal::run_finished(const std::string& run_id) const {
 }
 
 std::size_t Journal::unfinished_runs() const {
-  std::vector<std::string> open;  // distinct: a re-run re-starts the same id
+  // One pass, since every open asks: per run id, whether its latest
+  // run-start or run-end record is a run-start.
+  std::unordered_map<std::string, bool> open;
   for (const Json& r : replayed_) {
-    if (r.get("rec") != "run-start") continue;
-    const std::string run = r.get("run");
-    if (run_finished(run)) continue;
-    if (std::find(open.begin(), open.end(), run) == open.end()) {
-      open.push_back(run);
+    const std::string rec = r.get("rec");
+    if (rec == "run-start" || rec == "run-end") {
+      open[r.get("run")] = rec == "run-start";
     }
   }
-  return open.size();
+  return static_cast<std::size_t>(std::count_if(
+      open.begin(), open.end(), [](const auto& run) { return run.second; }));
 }
 
 std::vector<std::string> Journal::run_obligations(

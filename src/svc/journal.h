@@ -33,7 +33,10 @@
 // unparseable payload truncates the file back to the last intact record —
 // recovery never trusts a byte the checksum doesn't vouch for. A file whose
 // header is missing or from a different version is reset wholesale (the
-// journal is bookkeeping; the proofs it references are in the cache).
+// journal is bookkeeping; the proofs it references are in the cache). When
+// every run on file has a run-end after its last run-start, the open cuts
+// the file back to its header: no run is left to resume, so the next open
+// replays nothing. A killed run that is never re-run keeps every record.
 //
 // Journaling degrades, never fails: an unwritable directory or a failed
 // append leaves ok() false / returns false and the verification run
@@ -62,8 +65,9 @@ struct JournalStats {
 class Journal {
  public:
   /// Opens (creating if needed) `dir`/journal.log and replays it,
-  /// truncating any torn or corrupt tail. `dir` is the proof-cache
-  /// directory; it is created if missing.
+  /// truncating any torn or corrupt tail, and the whole file when every
+  /// run on it finished. `dir` is the proof-cache directory; it is created
+  /// if missing.
   explicit Journal(const std::string& dir);
   ~Journal();
 

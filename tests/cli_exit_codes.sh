@@ -5,8 +5,9 @@
 # sweep's state cap. A numeric flag must spell a whole non-negative number,
 # 0 keeps its per-flag meaning, and a huge time limit saturates instead of
 # expiring at once. A journal that cannot be opened stops a --resume run
-# and only warns on any other run, and stderr says which. check and hash
-# reject the flags they would otherwise drop.
+# and only warns on any other run, and stderr says which. A command
+# rejects each flag it does not take, naming both, before it runs or
+# creates anything, and help lists every flag once.
 #
 #   sh tests/cli_exit_codes.sh path/to/ctaver
 #
@@ -101,7 +102,8 @@ expect_stderr 1 "continuing without crash-safety" \
   verify NaiveVoting --cache-dir /dev/null/x
 # check proves every expect verdict afresh and plans its own obligations;
 # hash reads no cache and proves nothing. A flag either would drop is a
-# usage error, and check never creates the cache dir it was handed.
+# usage error, and neither check nor parse creates the cache dir it was
+# handed.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 expect_stderr 2 "check does not take --cache-dir" \
@@ -116,5 +118,57 @@ expect_stderr 2 "check does not take --only-obligations" \
 expect_stderr 2 "hash does not take --resume" hash CC85a --resume
 expect_stderr 2 "hash does not take --cache-dir" \
   hash CC85a --cache-dir "$tmpdir/d"
+expect_stderr 2 "parse does not take --cache-dir" \
+  parse "$root/specs/cc85a.cta" --cache-dir "$tmpdir/p"
+if [ -e "$tmpdir/p" ]; then
+  echo "FAIL: parse --cache-dir created $tmpdir/p"
+  failures=$((failures + 1))
+fi
+
+# The flag table, group by group: the commands outside a group reject
+# each of its flags (a value, where one follows, is never read).
+every="--specs --trace --metrics --metrics-json --progress --log-level"
+planning="--no-sweeps --max-states --max-schemas --sweep"
+running="--jobs --workers --time-budget --max-rss-mb --obligation-timeout \
+--fault-inject"
+proving="--replay-ce --cache-dir --resume"
+rejects() {
+  command=$1
+  shift
+  for flag in "$@"; do
+    expect_stderr 2 "$command does not take $flag" "$command" "$flag" 1
+  done
+}
+for command in list parse; do
+  rejects $command $planning --only-obligations $running $proving
+done
+rejects check --only-obligations $proving
+rejects hash $running $proving
+expect 0 hash CC85a --no-sweeps --max-schemas 100 --max-states 10 \
+  --sweep 4,1,1 --only-obligations "Inv1(v=0)"
+expect 0 list --specs "$root/specs" --log-level warn
+expect 0 parse "$root/specs/cc85a.cta" --metrics-json "$tmpdir/m.json"
+
+# help, --help and -h list each of the table's flags exactly once, and
+# no other.
+flags="$every $planning --only-obligations $running $proving"
+for help in help --help -h; do
+  out=$("$ctaver" "$help" 2> /dev/null)
+  got=$?
+  bad=""
+  [ "$got" -eq 0 ] || bad=" exit $got;"
+  lines=$(printf '%s\n' "$out" | grep -c '^  --')
+  [ "$lines" -eq "$(echo $flags | wc -w)" ] || bad="$bad $lines flag lines;"
+  for flag in $flags; do
+    n=$(printf '%s\n' "$out" | grep -cE -- "(^| )$flag( |\$)")
+    [ "$n" -eq 1 ] || bad="$bad $flag listed $n times;"
+  done
+  if [ -z "$bad" ]; then
+    echo "ok: ctaver $help lists each flag once"
+  else
+    echo "FAIL: ctaver $help:$bad"
+    failures=$((failures + 1))
+  fi
+done
 
 [ "$failures" -eq 0 ]

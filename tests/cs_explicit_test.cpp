@@ -244,6 +244,25 @@ TEST(StateGraph, EventuallyThenWitnessIsAPath) {
   EXPECT_TRUE(passed_d0);
 }
 
+TEST(StateGraph, DescribeNamesEachWitnessActionAndRejectsItsEnd) {
+  // Every witness entry but the last names the modeled action taken there;
+  // the last carries rule -1, which describe rejects as apply does instead
+  // of reading past the rule table.
+  ta::System rd = ta::single_round(naive_voting());
+  ExplicitSystem es(rd, {5, 2}, 1);
+  StateGraph g(es, es.border_start_configs());
+  StateGraph::Witness w;
+  ASSERT_TRUE(g.eventually_then(Reached{&es, rd.process.find_loc("D0")},
+                                Reached{&es, rd.process.find_loc("D1")}, &w));
+  for (std::size_t i = 0; i + 1 < w.size(); ++i) {
+    const Action a = w[i].second;
+    EXPECT_EQ(es.describe(a),
+              rd.process.rules[static_cast<std::size_t>(a.rule)].name + "@r0");
+  }
+  EXPECT_THROW((void)es.describe(w.back().second), std::invalid_argument);
+  EXPECT_THROW((void)es.describe(Action{false, 0, 1}), std::invalid_argument);
+}
+
 TEST(StateGraph, NaiveVotingAgreementHoldsWithoutByzantine) {
   ta::System rd = ta::single_round(naive_voting());
   ExplicitSystem es(rd, {3, 0}, 1);  // 3 correct, no Byzantine

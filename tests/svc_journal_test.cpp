@@ -142,6 +142,40 @@ TEST(Journal, KilledRerunOfAFinishedRunIsUnfinished) {
             std::vector<std::string>{std::string(64, '2')});
 }
 
+TEST(Journal, FinishedRunsAreForgottenAtOpen) {
+  // The open that finds every run on file ended cuts the file back to its
+  // header; that handle still answers from the records it read, and the
+  // next one replays nothing. One unfinished run keeps every record.
+  TempDir dir;
+  {
+    Journal j(dir.str());
+    j.run_start("r1", "verify", "P", 1);
+    j.obligation_done("r1", "A", std::string(64, 'a'), false);
+    j.run_end("r1", 0);
+  }
+  {
+    Journal j(dir.str());
+    EXPECT_EQ(j.stats().replayed, 3u);
+    EXPECT_TRUE(j.run_finished("r1"));
+    EXPECT_EQ(j.run_obligations("r1").size(), 1u);
+  }
+  Journal third(dir.str());
+  ASSERT_TRUE(third.ok()) << third.error();
+  EXPECT_EQ(third.stats().replayed, 0u);
+  EXPECT_EQ(read_file(dir.log()), "ctaver-journal v1\n");
+
+  third.run_start("r1", "verify", "P", 1);
+  third.run_end("r1", 0);
+  third.run_start("r2", "verify", "Q", 1);
+  const std::string unfinished = read_file(dir.log());
+  for (int open = 0; open < 2; ++open) {
+    Journal j(dir.str());
+    EXPECT_EQ(j.stats().replayed, 3u);
+    EXPECT_EQ(j.unfinished_runs(), 1u);
+  }
+  EXPECT_EQ(read_file(dir.log()), unfinished);
+}
+
 TEST(Journal, RecordFormatIsChecksummedOneLineJson) {
   TempDir dir;
   Journal j(dir.str());
