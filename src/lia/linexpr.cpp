@@ -15,7 +15,11 @@ LinExpr& LinExpr::add_scaled(const LinExpr& o, const util::Rational& k) {
   if (k.is_zero()) return *this;
   constant_ += k * o.constant_;
   if (o.coeffs_.empty()) return *this;
-  std::vector<SparseRow::Entry> scratch;
+  // add_multiple swaps the merged entries in, so this expression and the
+  // thread's buffer trade storage: an expression merged into again and
+  // again (the schema encoder's reused constraint) stops allocating once
+  // both buffers have grown.
+  thread_local std::vector<SparseRow::Entry> scratch;
   coeffs_.add_multiple(k, o.coeffs_, /*skip=*/-1, &scratch);
   return *this;
 }

@@ -28,6 +28,12 @@ class LinExpr {
   /// Coefficient of `v` (zero if absent).
   [[nodiscard]] util::Rational coeff(Var v) const { return coeffs_.coeff(v); }
 
+  /// Makes this the zero expression, keeping the term buffer's capacity.
+  void clear() {
+    coeffs_.clear();
+    constant_ = 0;
+  }
+
   /// Adds `c * v` to this expression (erasing the entry if it cancels).
   LinExpr& add_term(Var v, const util::Rational& c) {
     coeffs_.add(v, c);
@@ -37,7 +43,8 @@ class LinExpr {
     constant_ += c;
     return *this;
   }
-  /// `*this += k * o` in place: one merge, no temporary expression.
+  /// `*this += k * o` in place: one merge through a per-thread buffer, no
+  /// temporary expression.
   LinExpr& add_scaled(const LinExpr& o, const util::Rational& k);
 
   LinExpr operator+(const LinExpr& o) const {

@@ -151,7 +151,7 @@ void Solver::set_upper(Var v, long long ub) {
 // Constraints
 // ---------------------------------------------------------------------------
 
-void Solver::add(Constraint c) {
+void Solver::add(const Constraint& c) {
   for (const auto& [v, coeff] : c.expr.coeffs()) {
     if (v < 0 || v >= num_vars()) {
       throw std::out_of_range("Solver::add: unknown variable id");
@@ -165,7 +165,6 @@ void Solver::add(Constraint c) {
               (c.rel == Rel::kEq && k.is_zero());
     if (!ok) ++const_unsat_;
     crow_.push_back(-1);
-    constraints_.push_back(std::move(c));
     return;
   }
 
@@ -185,40 +184,57 @@ void Solver::add(Constraint c) {
       break;
   }
   int s = alloc_internal(std::move(slb), std::move(sub));
+
+  // Rows must be expressed over nonbasic variables, but on a warm tableau
+  // the constraint may mention variables pivoted into the basis by earlier
+  // checks. Substitute all of them in one pass: sum every term, and every
+  // basic variable's defining row scaled by its coefficient, into the dense
+  // accumulator, then emit the touched ids in ascending order. Defining rows
+  // hold only nonbasic variables, so exact arithmetic gives the same row as
+  // substituting one basic variable at a time.
+  if (acc_.size() < beta_.size()) {
+    acc_.resize(beta_.size());
+    acc_stamp_.resize(beta_.size(), 0);
+  }
+  if (++acc_gen_ == 0) {  // generation wrapped: old stamps are ambiguous
+    std::fill(acc_stamp_.begin(), acc_stamp_.end(), 0u);
+    acc_gen_ = 1;
+  }
+  touched_.clear();
+  auto accumulate = [&](int iv, const Rational& k) {
+    const std::size_t i = static_cast<std::size_t>(iv);
+    if (acc_stamp_[i] == acc_gen_) {
+      acc_[i] += k;
+    } else {
+      acc_stamp_[i] = acc_gen_;
+      acc_[i] = k;
+      touched_.push_back(iv);
+    }
+  };
+  Rational val(0);
+  for (const auto& [v, coeff] : c.expr.coeffs()) {
+    int iv = internal(v);
+    val += coeff * beta_[static_cast<std::size_t>(iv)];
+    if (!is_basic(iv)) {
+      accumulate(iv, coeff);
+      continue;
+    }
+    const int r = row_of_[static_cast<std::size_t>(iv)];
+    for (const auto& [u, d] : rows_[static_cast<std::size_t>(r)]) {
+      accumulate(u, coeff * d);
+    }
+  }
+  std::sort(touched_.begin(), touched_.end());
   SparseRow row;
   if (!spare_rows_.empty()) {
     row = std::move(spare_rows_.back());
     spare_rows_.pop_back();
     row.clear();
   }
-  row.reserve(c.expr.coeffs().size());
-  Rational val(0);
-  // expr.coeffs() is ordered by external id and ext2int_ is monotone, so the
-  // internal ids come out ascending and push_back keeps the row sorted.
-  for (const auto& [v, coeff] : c.expr.coeffs()) {
-    int iv = internal(v);
-    val += coeff * beta_[static_cast<std::size_t>(iv)];
-    row.push_back(iv, coeff);
-  }
-  // Rows must be expressed over nonbasic variables, but on a warm tableau
-  // the constraint may mention variables pivoted into the basis by earlier
-  // checks: substitute each one by its defining row. Every substitution
-  // removes one basic variable and introduces only nonbasics, so this
-  // terminates after at most |row| rounds.
-  for (;;) {
-    int bas = -1;
-    Rational bc;
-    for (const auto& [v, coeff] : row) {
-      if (is_basic(v)) {
-        bas = v;
-        bc = coeff;
-        break;
-      }
-    }
-    if (bas < 0) break;
-    row.add_multiple(bc, rows_[static_cast<std::size_t>(row_of_[
-                             static_cast<std::size_t>(bas)])],
-                     bas, &scratch_);
+  row.reserve(touched_.size());
+  for (int iv : touched_) {
+    const Rational& k = acc_[static_cast<std::size_t>(iv)];
+    if (!k.is_zero()) row.push_back(iv, k);
   }
   beta_[static_cast<std::size_t>(s)] = std::move(val);
   row_of_[static_cast<std::size_t>(s)] = static_cast<int>(rows_.size());
@@ -227,7 +243,6 @@ void Solver::add(Constraint c) {
   rows_.push_back(std::move(row));
   row_sweep_.push_back(0);
   crow_.push_back(s);
-  constraints_.push_back(std::move(c));
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +252,7 @@ void Solver::add(Constraint c) {
 Solver::Checkpoint Solver::push() {
   obs::add(obs::Counter::kSolverScopes);
   Checkpoint cp{static_cast<int>(scopes_.size())};
-  scopes_.push_back({trail_.size(), constraints_.size(),
+  scopes_.push_back({trail_.size(), crow_.size(),
                      static_cast<int>(beta_.size()), num_vars(),
                      const_unsat_});
   return cp;
@@ -280,10 +295,9 @@ void Solver::pop_to(Checkpoint cp) {
   // 2. Remove the rows of constraints added in the popped scopes, newest
   //    first. Eliminating the row's slack from the basis first keeps the
   //    remaining system equivalent to the remaining constraints.
-  while (constraints_.size() > scope.ncons) {
+  while (crow_.size() > scope.ncons) {
     int s = crow_.back();
     crow_.pop_back();
-    constraints_.pop_back();
     if (s >= 0) remove_constraint_row(s);
   }
   const_unsat_ = scope.const_unsat;
@@ -319,7 +333,7 @@ void Solver::remove_constraint_row(int s) {
       throw std::logic_error("Solver::pop: slack vanished from the tableau");
     }
     int kicked = basic_var_[static_cast<std::size_t>(r)];
-    pivot_rows(r, s);
+    pivot_rows(r, s, [](int, const Rational&) {});
     // The kicked-out variable keeps its assignment, which may sit outside
     // its bounds; nonbasic variables must be repaired back inside.
     if (!bound_conflict(kicked)) {
@@ -380,16 +394,14 @@ void Solver::pivot_and_update(int xb, int xn, const Rational& target) {
 
   beta_[static_cast<std::size_t>(xb)] = target;
   beta_[static_cast<std::size_t>(xn)] += theta;
-  for_each_row_with(xn, [&](int k, const Rational& coeff) {
-    if (k == r) return;
-    int b = basic_var_[static_cast<std::size_t>(k)];
+  pivot_rows(r, xn, [&](int b, const Rational& coeff) {
     beta_[static_cast<std::size_t>(b)] += coeff * theta;
     push_violated(b);
   });
-  pivot_rows(r, xn);
 }
 
-void Solver::pivot_rows(int r, int xn) {
+template <typename F>
+void Solver::pivot_rows(int r, int xn, F&& on_row) {
   SparseRow& pivot_row = rows_[static_cast<std::size_t>(r)];
   int xb = basic_var_[static_cast<std::size_t>(r)];
   Rational a = pivot_row.coeff(xn);
@@ -416,6 +428,7 @@ void Solver::pivot_rows(int r, int xn) {
   // cols_[xn]).
   for_each_row_with(xn, [&](int k, const Rational& coeff) {
     if (k == r) return;
+    on_row(basic_var_[static_cast<std::size_t>(k)], coeff);
     scratch_vars_.clear();
     rows_[static_cast<std::size_t>(k)].add_multiple(coeff, pivot_row, xn,
                                                     &scratch_, &scratch_vars_);
@@ -607,7 +620,7 @@ Result Solver::check() { return do_check_counted(false); }
 Result Solver::check_relaxed() { return do_check_counted(true); }
 
 // ---------------------------------------------------------------------------
-// Models, minimization, entailment
+// Models and minimization
 // ---------------------------------------------------------------------------
 
 Int128 Solver::model(Var v) const {
@@ -652,32 +665,6 @@ Result Solver::minimize(const LinExpr& objective) {
   }
   model_ = std::move(best_model);
   return Result::kSat;
-}
-
-Entailment entails(const Solver& base, const Constraint& c) {
-  auto probe_unsat = [&](const Constraint& neg) -> Entailment {
-    Solver probe = base;
-    probe.add(neg);
-    switch (probe.check()) {
-      case Result::kUnsat:
-        return Entailment::kYes;
-      case Result::kSat:
-        return Entailment::kNo;
-      case Result::kUnknown:
-        return Entailment::kUnknown;
-    }
-    return Entailment::kUnknown;
-  };
-
-  if (c.rel == Rel::kEq) {
-    // not(e == 0) is e <= -1 or e >= 1: entailed iff both branches unsat.
-    Constraint low = Constraint::le0(c.expr + LinExpr(Rational(1)));
-    Constraint high = Constraint::ge0(c.expr - LinExpr(Rational(1)));
-    Entailment a = probe_unsat(low);
-    if (a != Entailment::kYes) return a;
-    return probe_unsat(high);
-  }
-  return probe_unsat(c.negate_int());
 }
 
 }  // namespace ctaver::lia

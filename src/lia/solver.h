@@ -4,7 +4,7 @@
 // the role Z3 plays for ByMC. It decides satisfiability of conjunctions of
 // linear constraints over integer variables:
 //
-//   * rational relaxation via the general simplex of de Moura & Bjørner
+//   * rational relaxation via the general simplex of Dutertre & de Moura
 //     ("A Fast Linear-Arithmetic Solver for DPLL(T)", CAV'06), with Bland's
 //     rule for termination and exact rational pivoting;
 //   * integrality via depth-first branch & bound on fractional variables.
@@ -76,12 +76,11 @@ class Solver {
   void set_upper(Var v, long long ub);
 
   /// Adds a constraint (expr REL 0) to the conjunction. The tableau row is
-  /// materialized eagerly; inside a scope it is removed by the matching
-  /// pop().
-  void add(Constraint c);
-  [[nodiscard]] const std::vector<Constraint>& constraints() const {
-    return constraints_;
-  }
+  /// materialized eagerly and `c` is not kept, so callers may reuse it;
+  /// inside a scope the row is removed by the matching pop().
+  void add(const Constraint& c);
+  /// Number of constraints added so far (and not undone by pop()).
+  [[nodiscard]] std::size_t num_constraints() const { return crow_.size(); }
 
   // --- scopes --------------------------------------------------------------
 
@@ -135,7 +134,7 @@ class Solver {
   };
   struct Scope {
     std::size_t trail = 0;    // trail_ size at push
-    std::size_t ncons = 0;    // constraints_ size at push
+    std::size_t ncons = 0;    // constraint count at push
     int n_internal = 0;       // internal var count at push
     int n_external = 0;       // external var count at push
     int const_unsat = 0;      // violated constant constraints at push
@@ -166,9 +165,12 @@ class Solver {
   void assert_upper(int iv, const util::Rational& v);
   void update_nonbasic(int iv, const util::Rational& val);
   void pivot_and_update(int xb, int xn, const util::Rational& target);
-  /// Basis change only (no assignment update): rewrites row `r` to express
-  /// `xn` and substitutes it out of every other row. Used for row removal.
-  void pivot_rows(int r, int xn);
+  /// Basis change: rewrites row `r` to express `xn` and substitutes it out
+  /// of every other row, first calling on_row(basic variable, coefficient
+  /// of xn) on each of them, in the same sweep over xn's column. The
+  /// simplex updates the assignment there; row removal passes a no-op.
+  template <typename F>
+  void pivot_rows(int r, int xn, F&& on_row);
   void remove_constraint_row(int slack);
   void push_violated(int iv);
   Result solve();
@@ -180,7 +182,6 @@ class Solver {
   SolverOptions options_;
   // External (caller-visible) variable -> internal id.
   std::vector<int> ext2int_;
-  std::vector<Constraint> constraints_;
   std::vector<int> crow_;  // constraint -> internal slack id, -1 if constant
   int const_unsat_ = 0;    // violated constant constraints currently active
 
@@ -227,17 +228,18 @@ class Solver {
   SparseRow pivot_scratch_;                // rewrite buffer of pivot_rows
   std::vector<SparseRow> spare_rows_;      // buffers of rows pop_to removed
 
+  // add()'s dense accumulator over internal ids: acc_[iv] holds the new
+  // row's coefficient of iv iff acc_stamp_[iv] == acc_gen_, and touched_
+  // lists those ids in first-touch order.
+  std::vector<util::Rational> acc_;
+  std::vector<unsigned> acc_stamp_;
+  unsigned acc_gen_ = 0;
+  std::vector<int> touched_;
+
   std::vector<util::Int128> model_;
   long long stat_pivots_ = 0;
   long long stat_nodes_ = 0;
   long long total_pivots_ = 0;
 };
-
-/// Tri-state entailment: does `base`'s constraint system entail `c` over the
-/// integers? Implemented as unsatisfiability of base ∧ ¬c (splitting the
-/// disequality when c is an equality). kUnknown is conservative: callers in
-/// the verification pipeline must treat it as "not proved".
-enum class Entailment { kYes, kNo, kUnknown };
-Entailment entails(const Solver& base, const Constraint& c);
 
 }  // namespace ctaver::lia

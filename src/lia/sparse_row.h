@@ -54,8 +54,14 @@ class SparseRow {
     entries_.emplace_back(v, std::move(c));
   }
 
-  /// Inserts or adds to the entry for `v`, erasing it on cancellation.
+  /// Inserts or adds to the entry for `v`, erasing it on cancellation. A
+  /// variable past the last entry (rows are mostly built in ascending order)
+  /// is appended without a search.
   void add(Var v, const util::Rational& c) {
+    if (entries_.empty() || entries_.back().first < v) {
+      if (!c.is_zero()) entries_.emplace_back(v, c);
+      return;
+    }
     auto it = lower_bound(v);
     if (it != entries_.end() && it->first == v) {
       it->second += c;

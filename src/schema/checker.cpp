@@ -408,12 +408,31 @@ class Encoder {
     return out;
   }
 
-  [[nodiscard]] LinExpr lhs_expr(const Model& m, const ta::Guard& g) const {
-    LinExpr out;
+  /// out += lhs - rhs of `g` at the current shared-variable values: on an
+  /// empty `out`, the guard holds iff out >= 0. The parameter terms go in
+  /// first: their ids precede every batch variable, so each is an append.
+  void add_guard_margin(const Model& m, const ta::Guard& g,
+                       LinExpr& out) const {
+    out.add_const(-Rational(g.rhs.constant));
+    for (ta::ParamId p = 0; p < static_cast<ta::ParamId>(m.pv.size()); ++p) {
+      if (g.rhs.coeff(p) != 0) {
+        out.add_term(m.pv[static_cast<std::size_t>(p)],
+                     -Rational(g.rhs.coeff(p)));
+      }
+    }
     for (const auto& [v, b] : g.lhs) {
       out.add_scaled(m.gval[static_cast<std::size_t>(v)], Rational(b));
     }
-    return out;
+  }
+
+  /// Empties emit_, the one constraint buffer that emit_part, milestone and
+  /// witness build into, for a constraint `expr rel 0`, and returns its
+  /// expression: the term buffer keeps its capacity from one constraint to
+  /// the next, and Solver::add keeps no copy.
+  LinExpr& next_constraint(lia::Rel rel) {
+    emit_.rel = rel;
+    emit_.expr.clear();
+    return emit_.expr;
   }
 
   /// O(guards-of-rule) allowance check against the current flip-position
@@ -520,9 +539,10 @@ class Encoder {
       lia::Var x = m.solver.new_var(0, kBatchCap);
       m.batches.push_back({x, &rv, segment});
       // Token availability before the batch.
-      LinExpr avail = m.kappa[static_cast<std::size_t>(from)];
+      LinExpr& avail = next_constraint(lia::Rel::kGe);
+      avail = m.kappa[static_cast<std::size_t>(from)];
       avail.add_term(x, -1);
-      m.solver.add(Constraint::ge0(std::move(avail)));
+      m.solver.add(emit_);
       // Falling guards: exact conditional check via big-M.
       for (int gi : rv.falling) {
         const GuardInfo& info = table_->guards[static_cast<std::size_t>(gi)];
@@ -532,15 +552,15 @@ class Encoder {
           delta += b * rv.rule->update_of(v);
         }
         lia::Var used = m.solver.new_var(0, 1);
-        LinExpr fires = LinExpr::term(x);  // x <= kBatchCap * used
-        fires.add_term(used, -kBatchCap);
-        m.solver.add(Constraint::le0(std::move(fires)));
+        LinExpr& fires = next_constraint(lia::Rel::kLe);
+        fires.add_term(x, 1).add_term(used, -kBatchCap);  // x <= cap * used
+        m.solver.add(emit_);
         // lhs_before + delta*(x-1) <= rhs - 1 + BigM*(1-used)
-        LinExpr e = lhs_expr(m, info.guard);
+        LinExpr& e = next_constraint(lia::Rel::kLe);
+        add_guard_margin(m, info.guard, e);
         e.add_term(x, delta).add_const(-delta);
-        e -= pexpr(m, info.guard.rhs);
         e.add_const(1 - kBigM).add_term(used, kBigM);
-        m.solver.add(Constraint::le0(std::move(e)));
+        m.solver.add(emit_);
       }
       // Apply the batch.
       shift(m, Edit::Kind::kKappa, from, x, -1);
@@ -576,18 +596,17 @@ class Encoder {
   /// threshold at this boundary (rising: becomes true; falling: locked).
   void milestone(Model& m, int guard) {
     const GuardInfo& info = table_->guards[static_cast<std::size_t>(guard)];
-    LinExpr e = lhs_expr(m, info.guard);
-    e -= pexpr(m, info.guard.rhs);
-    m.solver.add(Constraint::ge0(std::move(e)));
+    add_guard_margin(m, info.guard, next_constraint(lia::Rel::kGe));
+    m.solver.add(emit_);
   }
 
   void witness(Model& m, const spec::LocSet& set) {
-    LinExpr sum;
+    LinExpr& sum = next_constraint(lia::Rel::kGe);
     for (const auto& [coin, l] : set.locs) {
       sum += m.kappa[static_cast<std::size_t>(gloc(coin, l))];
     }
     sum.add_const(-1);
-    m.solver.add(Constraint::ge0(std::move(sum)));
+    m.solver.add(emit_);
   }
 
   /// Emits segment `s` with whatever witness cuts land in it, then the
@@ -676,6 +695,7 @@ class Encoder {
   std::vector<int> cur_flips_;
 
   Model inc_;                   // long-lived incremental model
+  Constraint emit_;             // see next_constraint
   std::vector<Level> levels_;   // asserted prefix (scope per level)
   long long fresh_pivots_ = 0;
   long long nqueries_ = 0;

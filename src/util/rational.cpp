@@ -8,10 +8,6 @@ namespace ctaver::util {
 
 namespace {
 
-[[noreturn]] void overflow() {
-  throw std::overflow_error("Rational: 128-bit overflow");
-}
-
 /// True iff `v` is representable as a signed 64-bit integer. The simplex
 /// working set lives almost entirely in this range; the Int128 paths below
 /// are the correctness backstop, not the common case.
@@ -42,18 +38,8 @@ inline long long gcd64(long long a, long long b) {
 
 }  // namespace
 
-Int128 checked_mul(Int128 a, Int128 b) {
-  // The overflow builtins are defined behavior on signed types (unlike the
-  // multiply-then-divide probe), so these stay clean under UBSan.
-  Int128 r;
-  if (__builtin_mul_overflow(a, b, &r)) overflow();
-  return r;
-}
-
-Int128 checked_add(Int128 a, Int128 b) {
-  Int128 r;
-  if (__builtin_add_overflow(a, b, &r)) overflow();
-  return r;
+void throw_overflow() {
+  throw std::overflow_error("Rational: 128-bit overflow");
 }
 
 Int128 gcd128(Int128 a, Int128 b) {
@@ -64,7 +50,8 @@ Int128 gcd128(Int128 a, Int128 b) {
     return gcd64(static_cast<long long>(a), static_cast<long long>(b));
   }
   // Euclid is fine on negative operands (% truncates toward zero); negating
-  // only the final result keeps gcd128(INT128_MIN, k) defined for k != 0.
+  // only the final result keeps gcd128(INT128_MIN, k) defined unless the
+  // gcd is 2^127.
   // One 128-bit step usually shrinks the operands into the fast range.
   while (b != 0) {
     Int128 t = a % b;
@@ -74,24 +61,27 @@ Int128 gcd128(Int128 a, Int128 b) {
       return gcd64(static_cast<long long>(a), static_cast<long long>(b));
     }
   }
-  return a < 0 ? -a : a;
+  return a < 0 ? checked_neg(a) : a;
 }
 
-Rational::Rational(Int128 num, Int128 den) {
+Rational::Rational(Int128 num, Int128 den) : num_(num), den_(den) {
   if (den == 0) throw std::domain_error("Rational: zero denominator");
-  if (den < 0) {
-    num = -num;
-    den = -den;
+  if (den == 1) return;  // already canonical: skip the gcd entirely
+  if (num == 0) {
+    den_ = 1;
+    return;
   }
-  if (den != 1) {  // den == 1 is already canonical: skip the gcd entirely
-    Int128 g = gcd128(num, den);
-    if (g > 1) {
-      num /= g;
-      den /= g;
-    }
+  // Reduce before fixing the sign: -INT128_MIN is not representable, but
+  // INT128_MIN / -2 is.
+  const Int128 g = gcd128(num, den);
+  if (g != 1) {
+    num_ /= g;
+    den_ /= g;
   }
-  num_ = num;
-  den_ = den;
+  if (den_ < 0) {
+    num_ = checked_neg(num_);
+    den_ = checked_neg(den_);
+  }
 }
 
 Int128 Rational::floor() const {
@@ -108,29 +98,17 @@ Int128 Rational::ceil() const {
 
 Rational Rational::frac() const { return *this - Rational(floor(), 1); }
 
-Rational Rational::operator-() const {
-  Rational r;
-  r.num_ = -num_;
-  r.den_ = den_;
-  return r;
-}
-
-Rational Rational::operator+(const Rational& o) const {
-  // Integer + integer dominates the solver workload: one add, no gcd.
-  if (den_ == 1 && o.den_ == 1) {
-    Rational r;
-    r.num_ = checked_add(num_, o.num_);
-    r.den_ = 1;
-    return r;
-  }
-  // Same denominator: add numerators, reduce once.
+Rational Rational::add_general(const Rational& o, bool subtract) const {
+  // Same denominator: combine numerators, reduce once.
   if (den_ == o.den_) {
-    return {checked_add(num_, o.num_), den_};
+    return {subtract ? checked_sub(num_, o.num_) : checked_add(num_, o.num_),
+            den_};
   }
   Int128 g = gcd128(den_, o.den_);
   Int128 lden = den_ / g;
-  Int128 num = checked_add(checked_mul(num_, o.den_ / g),
-                           checked_mul(o.num_, lden));
+  Int128 left = checked_mul(num_, o.den_ / g);
+  Int128 right = checked_mul(o.num_, lden);
+  Int128 num = subtract ? checked_sub(left, right) : checked_add(left, right);
   Int128 den = checked_mul(lden, o.den_);
   // The cross terms can share a factor with g only; one reduction pass
   // against g restores canonical form without a full-width gcd.
@@ -141,42 +119,33 @@ Rational Rational::operator+(const Rational& o) const {
       den /= g2;
     }
   }
-  Rational r;
-  r.num_ = num;
-  r.den_ = den;
-  return r;
+  return raw(num, den);
 }
 
-Rational Rational::operator-(const Rational& o) const { return *this + (-o); }
-
-Rational Rational::operator*(const Rational& o) const {
-  // Integer * integer: one multiply, the product of canonical integers is
-  // canonical.
-  if (den_ == 1 && o.den_ == 1) {
-    Rational r;
-    r.num_ = checked_mul(num_, o.num_);
-    r.den_ = 1;
-    return r;
-  }
+Rational Rational::mul_general(const Rational& o) const {
   // Cross-reduce before multiplying to keep magnitudes small. Both factors
   // are canonical, so after cross-reduction the product is canonical too —
   // skip the constructor's gcd.
   Int128 g1 = gcd128(num_, o.den_);
   Int128 g2 = gcd128(o.num_, den_);
-  Rational r;
-  r.num_ = checked_mul(num_ / g1, o.num_ / g2);
-  r.den_ = checked_mul(den_ / g2, o.den_ / g1);
-  return r;
+  return raw(checked_mul(num_ / g1, o.num_ / g2),
+             checked_mul(den_ / g2, o.den_ / g1));
 }
 
 Rational Rational::operator/(const Rational& o) const {
   if (o.num_ == 0) throw std::domain_error("Rational: division by zero");
-  return *this * Rational(o.den_, o.num_);
+  if (num_ == 0) return {};
+  // (a/b) / (c/d) = (a·d) / (b·c), cross-reduced like mul_general; only
+  // the sign of c needs moving to the numerator.
+  Int128 g1 = gcd128(num_, o.num_);
+  Int128 g2 = gcd128(o.den_, den_);
+  Int128 num = checked_mul(num_ / g1, o.den_ / g2);
+  Int128 den = checked_mul(den_ / g2, o.num_ / g1);
+  if (den < 0) return raw(checked_neg(num), checked_neg(den));
+  return raw(num, den);
 }
 
-bool Rational::operator<(const Rational& o) const {
-  // Common cases first: identical denominators order by numerator.
-  if (den_ == o.den_) return num_ < o.num_;
+bool Rational::less_general(const Rational& o) const {
   // den_ > 0 on both sides, so cross-multiplication preserves order. In
   // 64-bit range the products fit in Int128 by construction, so the checked
   // variants are unnecessary.

@@ -84,9 +84,9 @@ TEST(Incremental, PopDropsConstraintRows) {
   s.push();
   s.add(Constraint::le(LinExpr::term(x) + LinExpr::term(y), konst(3)));
   EXPECT_EQ(s.check(), Result::kUnsat);
-  EXPECT_EQ(s.constraints().size(), 2u);
+  EXPECT_EQ(s.num_constraints(), 2u);
   s.pop();
-  EXPECT_EQ(s.constraints().size(), 1u);
+  EXPECT_EQ(s.num_constraints(), 1u);
   ASSERT_EQ(s.check(), Result::kSat);
   EXPECT_GE(s.model(x) + s.model(y), 4);
 }
@@ -161,7 +161,7 @@ TEST(Incremental, MinimizeLeavesSystemIntact) {
   ASSERT_EQ(s.minimize(LinExpr::term(x) + LinExpr::term(y)), Result::kSat);
   EXPECT_EQ(s.model(x) + s.model(y), 4);
   // The binary-search probes were popped: no stray objective bound remains.
-  EXPECT_EQ(s.constraints().size(), 2u);
+  EXPECT_EQ(s.num_constraints(), 2u);
   EXPECT_EQ(s.depth(), 0);
   s.add(Constraint::ge(LinExpr::term(x) + LinExpr::term(y), konst(9)));
   ASSERT_EQ(s.check(), Result::kSat);
@@ -219,7 +219,19 @@ TEST(Incremental, WarmRecheckAfterRowRemovalKeepsModelsValid) {
 // tightenings, pushes, and pops; at every check, a fresh solver fed the
 // currently-active constraint system must agree on SAT/UNSAT, and SAT
 // models must satisfy every active constraint.
+//
+// Each seed's warm-solver pivot count is pinned too. The random rows carry
+// non-unit coefficients, so their pivots run the fractional Rational paths
+// that threshold queries rarely reach; a kernel change that alters any
+// tableau row (a substitution in add(), a merge, a pivot rewrite) or a
+// Bland choice moves some seed's count. Re-pin only for a change that is
+// meant to alter the pivot sequence, and say why.
 // ---------------------------------------------------------------------------
+
+constexpr long long kScopedPivots[30] = {
+    3, 8, 42, 11, 13, 3, 39, 40, 13, 0, 6, 9, 7, 12, 20,  // seeds 0-14
+    3, 3, 1,  8,  7,  5, 5,  17, 6,  20, 3, 4, 4, 30, 5,  // seeds 15-29
+};
 
 struct ScopeFrame {
   std::size_t ncons;
@@ -326,6 +338,8 @@ TEST_P(ScopedVsFresh, SameVerdictAsReplay) {
     if (step % 5 == 4) check_both();
   }
   check_both();
+  EXPECT_EQ(inc.total_pivots(), kScopedPivots[GetParam()])
+      << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScopedVsFresh, ::testing::Range(0u, 30u));

@@ -1,5 +1,5 @@
 // Unit tests for the LIA solver (src/lia): linear expressions, simplex
-// feasibility, integrality branching, minimization, and entailment.
+// feasibility, integrality branching, and minimization.
 #include "lia/solver.h"
 
 #include <gtest/gtest.h>
@@ -292,36 +292,6 @@ TEST(Solver, MinimizeFindsSmallParameters) {
   ASSERT_EQ(s.minimize(LinExpr::term(n)), Result::kSat);
   EXPECT_EQ(s.model(n), 4);
   EXPECT_EQ(s.model(t), 1);
-}
-
-TEST(Solver, EntailmentYes) {
-  Solver s;
-  Var x = s.new_var(0);
-  s.add(Constraint::ge(LinExpr::term(x), konst(5)));
-  // x >= 5 entails x >= 3.
-  EXPECT_EQ(entails(s, Constraint::ge(LinExpr::term(x), konst(3))),
-            Entailment::kYes);
-}
-
-TEST(Solver, EntailmentNo) {
-  Solver s;
-  Var x = s.new_var(0);
-  s.add(Constraint::ge(LinExpr::term(x), konst(3)));
-  EXPECT_EQ(entails(s, Constraint::ge(LinExpr::term(x), konst(5))),
-            Entailment::kNo);
-}
-
-TEST(Solver, EntailmentEquality) {
-  Solver s;
-  Var x = s.new_var(0);
-  s.add(Constraint::ge(LinExpr::term(x), konst(4)));
-  s.add(Constraint::le(LinExpr::term(x), konst(4)));
-  EXPECT_EQ(entails(s, Constraint::eq(LinExpr::term(x), konst(4))),
-            Entailment::kYes);
-  Solver s2;
-  Var y = s2.new_var(0, 10);
-  EXPECT_EQ(entails(s2, Constraint::eq(LinExpr::term(y), konst(4))),
-            Entailment::kNo);
 }
 
 TEST(Solver, UnknownVariableRejected) {

@@ -133,6 +133,46 @@ TEST(Rational, ArithmeticOverflowThrows) {
   EXPECT_THROW(a + b, std::overflow_error);
 }
 
+// --- INT128_MIN: negation and sign normalization ---------------------------
+//
+// -INT128_MIN is not representable, so every path that negates is checked:
+// a result that fits comes out canonical, one that does not throws.
+
+TEST(Rational, NegatingInt128MinThrows) {
+  EXPECT_THROW(-Rational(kInt128Min, 1), std::overflow_error);
+  EXPECT_THROW(-Rational(kInt128Min, 3), std::overflow_error);
+  EXPECT_THROW(Rational(0) - Rational(kInt128Min, 1), std::overflow_error);
+  EXPECT_THROW(Rational(1, 3) - Rational(kInt128Min, 3), std::overflow_error);
+  EXPECT_EQ((-Rational(kInt128Max, 1)).num(), kInt128Min + 1);
+  // A difference that fits is exact, even though -INT128_MIN does not.
+  EXPECT_EQ(Rational(-1) - Rational(kInt128Min, 1), Rational(kInt128Max, 1));
+  EXPECT_EQ(Rational(-1, 3) - Rational(kInt128Min, 3),
+            Rational(kInt128Max, 3));
+}
+
+TEST(Rational, SignNormalizationReducesFirst) {
+  // Reduced before the sign moves: INT128_MIN / -2 is 2^126.
+  Rational r(kInt128Min, -2);
+  EXPECT_EQ(r.num(), Int128(1) << 126);
+  EXPECT_EQ(r.den(), 1);
+  Rational q(kInt128Min, -6);
+  EXPECT_EQ(q.num(), Int128(1) << 126);
+  EXPECT_EQ(q.den(), 3);
+  EXPECT_EQ(Rational(0, kInt128Min), Rational(0));
+  // 1 / INT128_MIN needs the denominator 2^127.
+  EXPECT_THROW(Rational(1, kInt128Min), std::overflow_error);
+  EXPECT_THROW(Rational(1) / Rational(kInt128Min, 1), std::overflow_error);
+  // 2 / INT128_MIN is -1 / 2^126: the denominator stays positive.
+  Rational d = Rational(2) / Rational(kInt128Min, 1);
+  EXPECT_EQ(d.num(), -1);
+  EXPECT_EQ(d.den(), Int128(1) << 126);
+  EXPECT_EQ(Rational(-3, 4) / Rational(-3, 8), Rational(2));
+  // The gcd 2^127 is not representable either.
+  EXPECT_THROW(gcd128(kInt128Min, 0), std::overflow_error);
+  EXPECT_THROW(gcd128(kInt128Min, kInt128Min), std::overflow_error);
+  EXPECT_EQ(gcd128(kInt128Min, 6), 2);
+}
+
 // --- int64 fast path: exactness across the 64-bit boundary -----------------
 //
 // The arithmetic operators take hardware-width shortcuts whenever both
