@@ -228,13 +228,13 @@ const Flag kFlags[] = {
     {"--cache-dir", "DIR", kProving,
      "content-addressed proof cache: complete\n"
      "verdicts replay byte-identically on later runs;\n"
-     "also home of the crash-safety journal",
+     "DIR/runs marks the runs that did not finish",
      store<&Args::cache_dir>},
     {"--resume", nullptr, kProving,
-     "finish a killed run from the cache directory's\n"
-     "journal, re-proving only what it left without\n"
-     "a durable proof (exit 2 without a cache\n"
-     "directory, or for other specs/options)",
+     "finish a killed run of the same command line,\n"
+     "re-proving only what the cache lacks (exit 2\n"
+     "without a cache directory, or when its\n"
+     "unfinished run had other specs/options)",
      turn_on<&Args::resume>},
 };
 
@@ -495,8 +495,8 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
     cache.emplace(args.cache_dir);
     opts.cache = &*cache;
   } else if (args.resume) {
-    std::cerr << "ctaver: --resume needs --cache-dir (the journal and the "
-                 "proofs it references live there)\n";
+    std::cerr << "ctaver: --resume needs --cache-dir (the run markers and "
+                 "the proofs live there)\n";
     return 2;
   }
 
@@ -506,25 +506,26 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
     models.push_back(resolve_with_sweeps(registry, args, spec));
   }
 
-  // Crash-safety journal: every run under --cache-dir appends run-start /
-  // per-obligation / run-end records (fsync'd, checksummed — see
-  // src/svc/journal.h). --resume additionally checks the journal for an
-  // unfinished run of the SAME identity before re-proving: the obligations
-  // it journaled as durable replay from the cache, so the resumed report is
-  // byte-identical to an uninterrupted one.
-  std::optional<ctaver::svc::Journal> journal;
+  // Run markers: every run under --cache-dir holds `DIR/runs/<run id>`
+  // from start to end (src/svc/journal.h). --resume looks for an
+  // unfinished run of the SAME identity; whatever it proved replays from
+  // the cache, so the resumed report is byte-identical to an
+  // uninterrupted one.
+  std::optional<ctaver::svc::Journal> markers;
   std::string run_id;
+  std::size_t total = 0;
+  bool resuming = false;
   if (cache) {
-    journal.emplace(args.cache_dir);
-    if (!journal->ok()) {
-      std::cerr << "ctaver: journal: " << journal->error()
+    markers.emplace(args.cache_dir);
+    if (!markers->ok()) {
+      std::cerr << "ctaver: " << markers->error()
                 << (args.resume ? " (cannot resume without it)\n"
                                 : " (continuing without crash-safety)\n");
       if (args.resume) return 2;
-      journal.reset();
+      markers.reset();
     }
   }
-  if (journal) {
+  if (markers) {
     std::vector<ctaver::verify::ObligationKey> all_keys;
     std::string names;
     for (const ProtocolModel& pm : models) {
@@ -535,26 +536,23 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
       names += (names.empty() ? "" : ",") + pm.name;
     }
     run_id = ctaver::svc::journal_run_id(all_keys);
+    total = all_keys.size();
     if (args.resume) {
-      if (journal->run_started(run_id) && !journal->run_finished(run_id)) {
-        std::cerr << "ctaver: resuming run " << run_id.substr(0, 12) << ": "
-                  << journal->run_obligations(run_id).size() << " of "
-                  << all_keys.size()
-                  << " obligation(s) already durable; re-proving the rest\n";
-      } else if (journal->unfinished_runs() > 0) {
-        std::cerr << "ctaver: --resume: the journal's unfinished run was "
-                     "started with different specs or options (run id "
+      if (markers->unfinished(run_id)) {
+        resuming = true;
+        std::cerr << "ctaver: resuming run " << run_id.substr(0, 12) << "\n";
+      } else if (markers->unfinished_runs() > 0) {
+        std::cerr << "ctaver: --resume: the cache directory's unfinished run "
+                     "was started with different specs or options (run id "
                      "mismatch); re-run the original command line, or drop "
                      "--resume to start over\n";
         return 2;
       } else {
-        std::cerr << "ctaver: --resume: no unfinished run in the journal; "
-                     "running cold\n";
+        std::cerr << "ctaver: --resume: no unfinished run in the cache "
+                     "directory; running cold\n";
       }
     }
-    journal->run_start(run_id, "verify", names, all_keys.size());
-    opts.journal = &*journal;
-    opts.journal_run = run_id;
+    markers->run_start(run_id, "verify", names, total);
   }
 
   auto maybe_reports = run_protocols(
@@ -563,6 +561,7 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
 
   bool all_hold = true;
   bool any_error = false;
+  std::size_t replayed = 0;
   std::cout << ctaver::verify::table2_header(timed_rows) << "\n";
   for (const auto& slot : maybe_reports) {
     const ctaver::verify::ProtocolReport& report = *slot;
@@ -571,13 +570,24 @@ int cmd_verify(const ProtocolRegistry& registry, const Args& args,
     all_hold = all_hold && report.planned_hold();
     any_error = any_error || report.agreement.has_error() ||
                 report.validity.has_error() || report.termination.has_error();
+    for (const ctaver::verify::PropertyResult* prop :
+         {&report.agreement, &report.validity, &report.termination}) {
+      for (const ctaver::verify::Obligation& o : prop->obligations) {
+        if (o.cached) ++replayed;
+      }
+    }
+  }
+  if (resuming) {
+    std::cerr << "ctaver: run " << run_id.substr(0, 12) << ": " << replayed
+              << " of " << total
+              << " obligation(s) already durable; re-proved the rest\n";
   }
   // Exit precedence 3 > 1: a contained internal error means the run is
   // incomplete-by-failure, so neither a clean 0 nor a plain verdict 1 would
   // be trustworthy (and CI fault-smoke assertions stay deterministic even on
   // protocols that also have a genuine counterexample).
   int code = any_error ? 3 : all_hold ? 0 : 1;
-  if (journal) journal->run_end(run_id, code);
+  if (markers) markers->run_end(run_id, code);
   return code;
 }
 

@@ -48,9 +48,6 @@ const char* counter_name(Counter c) {
     case Counter::kFaultInjections: return "fault.injections";
     case Counter::kWatchdogMemoryCuts: return "watchdog.memory_cuts";
     case Counter::kWatchdogTimeoutCuts: return "watchdog.timeout_cuts";
-    case Counter::kJournalRecords: return "journal.records";
-    case Counter::kJournalReplayed: return "journal.replayed";
-    case Counter::kJournalTruncatedBytes: return "journal.truncated_bytes";
     case Counter::kCacheHits: return "cache.hits";
     case Counter::kCacheMisses: return "cache.misses";
     case Counter::kCacheStores: return "cache.stores";

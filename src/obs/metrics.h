@@ -68,9 +68,6 @@ enum class Counter : int {
   kFaultInjections,     // fault.injections: armed fault plans fired
   kWatchdogMemoryCuts,  // watchdog.memory_cuts: RSS guard budget trips
   kWatchdogTimeoutCuts, // watchdog.timeout_cuts: per-obligation deadlines
-  kJournalRecords,      // journal.records: records appended (fsync'd)
-  kJournalReplayed,     // journal.replayed: intact records replayed at open
-  kJournalTruncatedBytes,  // journal.truncated_bytes: torn tail dropped
   kCacheHits,           // cache.hits: obligations satisfied from the cache
   kCacheMisses,         // cache.misses: obligations that had to be proved
   kCacheStores,         // cache.stores: verdicts written into the cache

@@ -191,22 +191,41 @@ class Parser {
     }
   }
 
+  /// RFC 8259: [ "-" ] ( "0" / [1-9] *DIGIT ) [ "." 1*DIGIT ]
+  /// [ ( "e" / "E" ) [ "-" / "+" ] 1*DIGIT ].
   Json parse_number() {
-    std::size_t start = pos_;
+    const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    if (peek() == '0') {
       ++pos_;
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
+    } else if (!digits()) {
       fail("bad number");
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!digits()) fail("bad fraction");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      if (!digits()) fail("bad exponent");
     }
     Json v;
     v.type_ = Json::Type::kNumber;
     v.num_ = std::strtod(text_.c_str() + start, nullptr);
     return v;
+  }
+
+  /// Consumes a run of decimal digits; false when there is none.
+  bool digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
+      ++pos_;
+    }
+    return pos_ > start;
   }
 
   const std::string& text_;

@@ -1,9 +1,9 @@
-// Minimal JSON reader: the run journal (src/svc/journal) parses its
-// records back with it. Parsing covers full JSON (objects, arrays, strings
-// with escapes, numbers, booleans, null); writing is done by hand at the
-// call sites with obs::json_escape — journal records are flat objects, so a
-// DOM writer would be dead weight. The parser doubles as the validity
-// oracle for to_json outputs in tests.
+// Minimal JSON reader. Nothing in src/ reads JSON: the reader is the
+// validity oracle tests hold the `--metrics-json` dump (obs::Snapshot::
+// to_json) against. It accepts exactly RFC 8259 documents (objects,
+// arrays, strings with escapes, numbers, booleans, null) and rejects
+// everything else. Writing is done by hand at the call sites with
+// obs::json_escape.
 #pragma once
 
 #include <cstddef>
@@ -14,8 +14,8 @@
 
 namespace ctaver::svc {
 
-/// Parsed JSON value. Object member order is not preserved (std::map) —
-/// fine for journal records, whose members are addressed by name.
+/// Parsed JSON value. Object member order is not preserved (std::map):
+/// members are addressed by name.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

@@ -110,52 +110,54 @@ void ProofCache::disk_store(const std::string& key,
   if (!valid_key(key)) return;
   std::error_code ec;
   fs::create_directories(disk_dir_, ec);
-  fs::path final_path = fs::path(disk_dir_) / key;
-  fs::path tmp_path = final_path;
-  tmp_path += ".tmp";
-
   std::ostringstream entry;
   entry << kDiskMagic << "\n"
         << "key " << key << "\n"
         << "len " << payload.size() << "\n"
         << "sha256 " << util::sha256_hex(payload) << "\n"
         << payload;
-  const std::string bytes = entry.str();
+  // An unwritable cache dir degrades to memory-only.
+  write_durable((fs::path(disk_dir_) / key).string(), entry.str());
+}
 
-  // tmp + fsync + rename + parent-dir fsync: without the fsyncs a crash can
-  // expose the rename before the data blocks land — a named-but-empty entry.
-  // disk_lookup would degrade it to a corrupt miss, but the proof (which the
-  // journal may already count as durable) would be silently lost.
-  int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
-  if (fd < 0) return;  // unwritable cache dir degrades to memory-only
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      fs::remove(tmp_path, ec);
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    fs::remove(tmp_path, ec);
-    return;
-  }
-  ::close(fd);
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    return;
-  }
-  int dfd = ::open(disk_dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+void sync_dir(const std::string& dir) {
+  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dfd >= 0) {
     ::fsync(dfd);
     ::close(dfd);
   }
+}
+
+bool write_durable(const std::string& path, const std::string& bytes) {
+  // tmp + fsync + rename + parent-dir fsync: without the fsyncs a crash can
+  // expose the rename before the data blocks land, a named-but-empty file.
+  // disk_lookup would degrade such a cache entry to a corrupt miss, but the
+  // proof a resume counts on would be silently lost.
+  const fs::path final_path(path);
+  fs::path tmp_path = final_path;
+  tmp_path += ".tmp";
+  int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0644);
+  if (fd < 0) return false;
+  bool ok = true;
+  for (std::size_t off = 0; ok && off < bytes.size();) {
+    ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n >= 0) {
+      off += static_cast<std::size_t>(n);
+    } else if (errno != EINTR) {
+      ok = false;
+    }
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ::close(fd);
+  std::error_code ec;
+  if (ok) fs::rename(tmp_path, final_path, ec);
+  if (!ok || ec) {
+    fs::remove(tmp_path, ec);
+    return false;
+  }
+  sync_dir(final_path.parent_path().string());
+  return true;
 }
 
 // --- codecs -------------------------------------------------------------

@@ -46,9 +46,9 @@ class ProofCache {
   std::optional<std::string> lookup(const std::string& key);
 
   /// Stores payload under key (memory + disk when configured). Disk writes
-  /// go through a temp file + fsync + rename + parent-dir fsync, so a
-  /// crashed (or SIGKILLed, or power-lost) process leaves either the old
-  /// entry or the new one, never a torn or named-but-empty file.
+  /// go through write_durable, so a crashed (or SIGKILLed, or power-lost)
+  /// process leaves either the old entry or the new one, never a torn or
+  /// named-but-empty file.
   void store(const std::string& key, const std::string& payload);
 
   /// Drops an entry whose payload passed the checksum but failed to decode
@@ -67,6 +67,17 @@ class ProofCache {
   std::unordered_map<std::string, std::string> mem_;
   CacheStats stats_;
 };
+
+/// Writes `bytes` to `path` so that a crash at any instant leaves either
+/// the old file or the new one: a temp file beside `path`, fsync, rename
+/// over `path`, then an fsync of the parent directory. False on any
+/// failure, with the temp file removed. Cache entries and run markers
+/// (src/svc/journal) are both written through it.
+bool write_durable(const std::string& path, const std::string& bytes);
+
+/// fsyncs the directory `dir`, making a create, rename or unlink in it
+/// durable. An unopenable directory is skipped.
+void sync_dir(const std::string& dir);
 
 // --- verdict payload codecs --------------------------------------------
 // Length-prefixed text records; decoders return nullopt on ANY malformed

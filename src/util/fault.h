@@ -19,7 +19,7 @@
 //   delay   sleep a couple of milliseconds and continue — byte-neutral, for
 //           racing the containment paths under TSan;
 //   abort   die on the spot (SIGKILL, no unwinding, no atexit) — the crash
-//           harness for the durable journal / proof-cache resume paths: the
+//           harness for the proof-cache resume path: the
 //           process vanishes exactly as an OOM-kill or power loss would,
 //           and the crash-resume tests assert the next run's report is
 //           byte-identical to an uninterrupted one.

@@ -54,7 +54,7 @@ Int128 gcd128(Int128 a, Int128 b) {
   // gcd is 2^127.
   // One 128-bit step usually shrinks the operands into the fast range.
   while (b != 0) {
-    Int128 t = a % b;
+    Int128 t = b == -1 ? 0 : a % b;  // INT128_MIN % -1 overflows
     a = b;
     b = t;
     if (gcd_fast64(a) && gcd_fast64(b)) {
@@ -67,7 +67,10 @@ Int128 gcd128(Int128 a, Int128 b) {
 Rational::Rational(Int128 num, Int128 den) : num_(num), den_(den) {
   if (den == 0) throw std::domain_error("Rational: zero denominator");
   if (den == 1) return;  // already canonical: skip the gcd entirely
-  if (num == 0) {
+  if (num == 0 || num == den) {
+    // 0 and 1, the latter without a gcd: gcd128(INT128_MIN, INT128_MIN)
+    // is 2^127, which does not fit.
+    num_ = num == 0 ? 0 : 1;
     den_ = 1;
     return;
   }
@@ -135,6 +138,9 @@ Rational Rational::mul_general(const Rational& o) const {
 Rational Rational::operator/(const Rational& o) const {
   if (o.num_ == 0) throw std::domain_error("Rational: division by zero");
   if (num_ == 0) return {};
+  // Equal numerators cancel to d / b, both positive. That also keeps
+  // INT128_MIN / INT128_MIN away from gcd128, whose 2^127 does not fit.
+  if (num_ == o.num_) return {o.den_, den_};
   // (a/b) / (c/d) = (a·d) / (b·c), cross-reduced like mul_general; only
   // the sign of c needs moving to the numerator.
   Int128 g1 = gcd128(num_, o.num_);

@@ -12,11 +12,6 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::string pad_left(const std::string& s, std::size_t w) {
   if (s.size() >= w) return s;
   return std::string(w - s.size(), ' ') + s;

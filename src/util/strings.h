@@ -10,9 +10,6 @@ namespace ctaver::util {
 std::string join(const std::vector<std::string>& parts,
                  const std::string& sep);
 
-/// True if `s` starts with `prefix`.
-bool starts_with(const std::string& s, const std::string& prefix);
-
 /// Left-pads `s` with spaces to width `w` (no-op if already wider).
 std::string pad_left(const std::string& s, std::size_t w);
 

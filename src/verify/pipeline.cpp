@@ -18,7 +18,6 @@
 #include "obs/trace.h"
 #include "replay/replay.h"
 #include "spec/spec.h"
-#include "svc/journal.h"
 #include "svc/proof_cache.h"
 #include "ta/transforms.h"
 #include "ta/validate.h"
@@ -547,8 +546,7 @@ struct ProtocolRun::Impl {
             t.result = schema::check_spec(*t.sys, t.spec, topts);
           });
           if (t.result && t.result->complete) {
-            durable(t.spec.name, t.cache_key,
-                    [&t] { return svc::encode_check(*t.result); });
+            durable(t.cache_key, [&t] { return svc::encode_check(*t.result); });
           }
         });
       } else {
@@ -615,22 +613,17 @@ struct ProtocolRun::Impl {
                  static_cast<std::uint64_t>(run.seconds * 1e3));
   }
 
-  /// The one durability hook: a complete verdict becomes a cache entry and
-  /// a journal record the moment it exists — a check when its task ends, a
-  /// sweep at merge, a cache hit at probe time — so a crash mid-protocol
-  /// keeps every finished obligation durable for --resume. `payload`
-  /// encodes the entry to store; it is empty for a hit, which the cache
-  /// already holds. Never throws: a failure here degrades crash safety,
-  /// never the run (merge reads the task slots, not the cache).
-  void durable(const std::string& name, const std::string& key,
+  /// The one durability hook: a complete verdict becomes a cache entry the
+  /// moment it exists — a check when its task ends, a sweep at merge — so a
+  /// crash mid-protocol keeps every finished obligation durable for
+  /// --resume. `payload` encodes the entry to store. Never throws: a
+  /// failure here degrades crash safety, never the run (merge reads the
+  /// task slots, not the cache).
+  void durable(const std::string& key,
                const std::function<std::string()>& payload) noexcept {
     if (opts.cache == nullptr) return;
     try {
-      if (payload) opts.cache->store(key, payload());
-      if (opts.journal != nullptr) {
-        opts.journal->obligation_done(opts.journal_run, name, key,
-                                      /*cached=*/!payload);
-      }
+      opts.cache->store(key, payload());
     } catch (...) {
     }
   }
@@ -678,26 +671,18 @@ struct ProtocolRun::Impl {
   /// checksum-valid payload that still fails to decode (incompatible codec)
   /// is invalidated and treated as a miss.
   void probe_cache() {
-    auto probe = [this](const std::string& name, const std::string& key,
-                        auto decode, auto& verdict) {
+    auto probe = [this](const std::string& key, auto decode, auto& verdict) {
       std::optional<std::string> p = opts.cache->lookup(key);
       if (!p) return;
       verdict = decode(*p);
-      // A hit is already durable — journal it now so a crash before merge
-      // still credits this obligation to the run.
-      if (verdict) {
-        durable(name, key, nullptr);
-      } else {
-        opts.cache->invalidate(key);
-      }
+      if (!verdict) opts.cache->invalidate(key);
     };
     for (ParametricTask& t : plan.checks) {
-      probe(t.spec.name, t.cache_key, svc::decode_check, t.result);
+      probe(t.cache_key, svc::decode_check, t.result);
       t.cache_hit = t.result.has_value();
     }
     for (SweepTask& t : plan.sweeps) {
-      probe(t.prop->obligations[t.slot].name, t.cache_key, svc::decode_sweep,
-            t.cached);
+      probe(t.cache_key, svc::decode_sweep, t.cached);
     }
   }
 
@@ -811,13 +796,13 @@ struct ProtocolRun::Impl {
         o.complete = t.cached->complete;
         o.ce = t.cached->ce;
         o.detail = t.cached->detail;
-        o.cached = true;  // journaled at probe time, like parametric hits
+        o.cached = true;
         settle(o, false, false);
         continue;
       }
       merge_sweep(t);
       if (o.complete) {
-        durable(o.name, t.cache_key, [&o] {
+        durable(t.cache_key, [&o] {
           return svc::encode_sweep({o.holds, o.complete, o.ce, o.detail});
         });
       }

@@ -87,15 +87,12 @@ struct Options {
   /// normally and stores a complete verdict the moment it exists (a check
   /// when its task ends, a sweep at merge).
   svc::ProofCache* cache = nullptr;
-  /// Durable run journal (src/svc/journal; not owned, may be null). Only
-  /// consulted together with `cache`: as each complete obligation is
-  /// stored (or hits the cache) it appends one fsync'd record referencing
-  /// its ProofCache key under the `journal_run` id, so a killed process can
-  /// account for what already landed durable. Journal appends are strictly
-  /// out-of-band — no report byte ever depends on them.
+  /// Not read by the pipeline. A run's marker (src/svc/journal) is written
+  /// and removed by whoever starts and ends the run, and what a run proved
+  /// is durable through `cache` alone. Kept until ctabench, which still
+  /// assigns both fields, drops them.
   svc::Journal* journal = nullptr;
-  /// Run identity stamped into journal records (journal_run_id of the
-  /// planned obligation keys); set by whoever owns the run-start record.
+  /// Not read by the pipeline; see `journal`.
   std::string journal_run;
   /// Per-obligation hard deadline in seconds (0 = off), armed when the
   /// obligation's task starts. Tripping it cuts THAT obligation to

@@ -1,11 +1,11 @@
-// The kill-based crash harness (ISSUE 10 tentpole): a child process is
-// SIGKILLed mid-verification via the fault injector's `abort` action, and
-// the parent resumes from the surviving cache + journal, asserting the
-// resumed report is byte-identical to an uninterrupted cold run — across
-// the (jobs x workers) matrix.
+// The kill-based crash harness: a child process is SIGKILLed
+// mid-verification via the fault injector's `abort` action, and the parent
+// resumes from the surviving cache and run marker, asserting the resumed
+// report is byte-identical to an uninterrupted cold run — across the
+// (jobs x workers) matrix.
 //
 // Deliberately fork-based, so this binary stays OUT of the TSan CI leg
-// (fork + sanitizer runtimes don't mix); the TSan-side journal coverage
+// (fork + sanitizer runtimes don't mix); the in-process resume coverage
 // lives in svc_journal_test.
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -52,6 +52,36 @@ class TempDir {
 };
 int TempDir::counter_ = 0;
 
+/// File names in `dir`.
+std::vector<std::string> listing(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  return names;
+}
+
+/// How many of `keys` a fresh cache handle on `dir` finds: what the
+/// killed run made durable.
+std::size_t cached_keys(const std::string& dir,
+                        const std::vector<verify::ObligationKey>& keys) {
+  svc::ProofCache probe(dir);
+  std::size_t n = 0;
+  for (const verify::ObligationKey& k : keys) {
+    if (probe.lookup(k.key)) ++n;
+  }
+  return n;
+}
+
+std::size_t cached_obligations(const verify::ProtocolReport& r) {
+  std::size_t n = 0;
+  for (const verify::PropertyResult* prop :
+       {&r.agreement, &r.validity, &r.termination}) {
+    for (const verify::Obligation& o : prop->obligations) n += o.cached;
+  }
+  return n;
+}
+
 verify::Options matrix_options(int jobs, int workers) {
   verify::Options opts;
   opts.jobs = jobs;
@@ -60,9 +90,10 @@ verify::Options matrix_options(int jobs, int workers) {
 }
 
 /// Forks a child that arms `schema.encode:<hit>:abort` and runs a
-/// journaled, cached verification of NaiveVoting — the abort SIGKILLs it
-/// mid-run, exactly like `kill -9` at an arbitrary instant. Returns true
-/// when the child died by SIGKILL (the harness's precondition).
+/// cached verification of NaiveVoting under its run marker — the abort
+/// SIGKILLs it mid-run, exactly like `kill -9` at an arbitrary instant.
+/// Returns true when the child died by SIGKILL (the harness's
+/// precondition).
 bool crash_verify_in_child(const std::string& cache_dir, int hit,
                            const verify::Options& base) {
   pid_t pid = ::fork();
@@ -75,17 +106,12 @@ bool crash_verify_in_child(const std::string& cache_dir, int hit,
     util::FaultInjector::instance().arm("schema.encode", hit,
                                         util::FaultAction::kAbort);
     svc::ProofCache cache(cache_dir);
-    svc::Journal journal(cache_dir);
     std::vector<verify::ObligationKey> keys =
         verify::obligation_cache_keys(builtin("NaiveVoting"), base);
-    std::string run = svc::journal_run_id(keys);
+    svc::Journal(cache_dir).run_start(svc::journal_run_id(keys), "verify",
+                                      "NaiveVoting", keys.size());
     verify::Options opts = base;
     opts.cache = &cache;
-    if (journal.ok()) {
-      journal.run_start(run, "verify", "NaiveVoting", keys.size());
-      opts.journal = &journal;
-      opts.journal_run = run;
-    }
     verify::verify_protocol(builtin("NaiveVoting"), opts);
     ::_exit(0);  // reached only if the fault never fired
   }
@@ -100,7 +126,7 @@ bool crash_verify_in_child(const std::string& cache_dir, int hit,
   return WTERMSIG(status) == SIGKILL;
 }
 
-// SIGKILL mid-run, then resume: the journal names the unfinished run, the
+// SIGKILL mid-run, then resume: the marker names the unfinished run, the
 // cache holds whatever had reached its durability point, and the resumed
 // report is byte-identical to a cold run — for every (jobs, workers) in
 // {1,2,8}^2.
@@ -118,45 +144,34 @@ TEST(CrashResume, KilledVerifyResumesByteIdenticalAcrossMatrix) {
       verify::Options base = matrix_options(jobs, workers);
       ASSERT_TRUE(crash_verify_in_child(dir.str(), 12, base));
 
-      // The kill left a torn or intact journal naming one unfinished
-      // run whose durable obligations all resolve in the cache.
+      // The kill left exactly the run's marker, and whatever the run
+      // proved before it in the cache.
       svc::Journal journal(dir.str());
       ASSERT_TRUE(journal.ok()) << journal.error();
       std::vector<verify::ObligationKey> keys =
           verify::obligation_cache_keys(pm, base);
       std::string run = svc::journal_run_id(keys);
+      EXPECT_EQ(listing(fs::path(dir.str()) / "runs"),
+                std::vector<std::string>{run});
       EXPECT_EQ(journal.unfinished_runs(), 1u);
-      EXPECT_TRUE(journal.run_started(run));
-      EXPECT_FALSE(journal.run_finished(run));
-      std::vector<std::string> durable = journal.run_obligations(run);
-      EXPECT_LT(durable.size(), keys.size());  // the kill was mid-run
-      {
-        svc::ProofCache probe(dir.str());
-        for (const std::string& key : durable) {
-          EXPECT_TRUE(probe.lookup(key).has_value()) << key;
-        }
-      }
+      EXPECT_TRUE(journal.unfinished(run));
+      const std::size_t durable = cached_keys(dir.str(), keys);
+      EXPECT_LT(durable, keys.size());  // the kill was mid-run
 
       // Resume: re-proves only the non-durable obligations, and the
       // report renders byte-identically to the uninterrupted cold run.
       svc::ProofCache cache(dir.str());  // fresh handle: clean stats
       verify::Options resume = base;
       resume.cache = &cache;
-      resume.journal = &journal;
-      resume.journal_run = run;
       journal.run_start(run, "verify", pm.name, keys.size());
       verify::ProtocolReport r = verify::verify_protocol(pm, resume);
       journal.run_end(run, 1);
       EXPECT_EQ(verify::report_text(r), cold);
-      // The journal may undercount by one: a kill between a proof's
-      // cache store and its journal append leaves the proof durable but
-      // unjournaled, and the cache probe (the resume authority) finds it.
-      EXPECT_GE(cache.stats().hits, durable.size());
-      EXPECT_EQ(cache.stats().hits + cache.stats().misses, keys.size());
-      EXPECT_LE(cache.stats().misses, keys.size() - durable.size());
-      svc::Journal after(dir.str());
-      EXPECT_TRUE(after.run_finished(run));
-      EXPECT_EQ(after.unfinished_runs(), 0u);
+      EXPECT_EQ(cache.stats().hits, durable);
+      EXPECT_EQ(cache.stats().misses, keys.size() - durable);
+      EXPECT_EQ(cached_obligations(r), durable);
+      EXPECT_TRUE(listing(fs::path(dir.str()) / "runs").empty());
+      EXPECT_FALSE(journal.unfinished(run));
     }
   }
 }
@@ -169,16 +184,10 @@ TEST(CrashResume, PartialDurabilitySurvivesTheKill) {
   TempDir dir;
   verify::Options base = matrix_options(1, 1);
   ASSERT_TRUE(crash_verify_in_child(dir.str(), 12, base));
-  svc::Journal journal(dir.str());
-  std::string run =
-      svc::journal_run_id(verify::obligation_cache_keys(pm, base));
-  std::vector<std::string> durable = journal.run_obligations(run);
-  EXPECT_GE(durable.size(), 1u) << "kill landed before any durability point";
-  EXPECT_LT(durable.size(), 6u);
-  svc::ProofCache cache(dir.str());
-  for (const std::string& key : durable) {
-    EXPECT_TRUE(cache.lookup(key).has_value()) << key;
-  }
+  const std::size_t durable =
+      cached_keys(dir.str(), verify::obligation_cache_keys(pm, base));
+  EXPECT_GE(durable, 1u) << "kill landed before any durability point";
+  EXPECT_LT(durable, 6u);
 }
 
 }  // namespace

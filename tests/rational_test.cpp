@@ -173,6 +173,18 @@ TEST(Rational, SignNormalizationReducesFirst) {
   EXPECT_EQ(gcd128(kInt128Min, 6), 2);
 }
 
+TEST(Rational, Int128MinOverItselfIsOne) {
+  // 1 is representable although the gcd 2^127 is not.
+  EXPECT_EQ(Rational(kInt128Min, kInt128Min), Rational(1));
+  EXPECT_EQ(Rational(kInt128Min, 1) / Rational(kInt128Min, 1), Rational(1));
+  EXPECT_EQ(Rational(kInt128Min, 1) / Rational(kInt128Min, 3), Rational(3));
+  EXPECT_EQ(Rational(kInt128Min, 3) / Rational(kInt128Min, 1),
+            Rational(1, 3));
+  // Still unrepresentable: 2^127 in the denominator or the numerator.
+  EXPECT_THROW(Rational(1, kInt128Min), std::overflow_error);
+  EXPECT_THROW(Rational(kInt128Min, -1), std::overflow_error);
+}
+
 // --- int64 fast path: exactness across the 64-bit boundary -----------------
 //
 // The arithmetic operators take hardware-width shortcuts whenever both
